@@ -36,8 +36,7 @@ use gencache_obs::{
 };
 use gencache_sim::report::{bar, fmt_bytes, sparkline, TextTable};
 use gencache_sim::{
-    collect_events, parse_spec, record, replay_sim_observed, simulate_switches, ModelSpec,
-    ReplayResult, SimSpec,
+    collect_events, parse_spec, record, replay_sim_observed, ModelSpec, ReplayResult, SimSpec,
 };
 use gencache_workloads::{benchmark, WorkloadProfile};
 
@@ -855,9 +854,10 @@ fn main() -> ExitCode {
     // Extra --spec models ride the same narrative path; adaptive specs
     // additionally get their controller's decision log narrated.
     for (label, spec) in &extra_specs {
-        let (result, buffer) = replay_sim_observed(&run.log, *spec, capacity, EventBuffer::new());
+        let (result, buffer, switches) =
+            replay_sim_observed(&run.log, *spec, capacity, EventBuffer::new());
         explain_model(&ctx, label, &result, &buffer.events, &opts);
-        if let Some(report) = simulate_switches(&run.log, *spec, capacity) {
+        if let Some(report) = switches {
             render_switches(&report);
         }
     }

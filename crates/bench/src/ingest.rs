@@ -29,17 +29,16 @@ use std::io::{self, BufRead, BufReader};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use gencache_obs::{
-    oracle_replay, parse_stream_line, CostReport, MetricsReport, NextUseIndex, OracleResult,
-    RegretReport, RunMeta, SimTrace, StreamLine, TraceRebuilder, WindowReport, METRICS_SCHEMA,
-    METRICS_VERSION,
+    oracle_replay, parse_stream_line, CostObserver, CostReport, MetricsObserver, MetricsReport,
+    NextUseIndex, OracleResult, RegretObserver, RegretReport, RunMeta, SimTrace, StreamLine,
+    TraceRebuilder, WindowObserver, WindowReport, METRICS_SCHEMA, METRICS_VERSION, TOP_REGRET,
 };
 use gencache_core::SwitchReport;
 use gencache_sim::par::par_map;
 use gencache_sim::report::TextTable;
 use gencache_sim::{
-    parse_spec, policy_grid, proportion_grid, simulate_costs, simulate_metrics, simulate_regret,
-    simulate_regret_top, simulate_switches, simulate_windows, trace_to_log, AccessLog, ModelSpec,
-    SimSpec, SimulatedSpec,
+    parse_spec, policy_grid, proportion_grid, replay_sim_observed, trace_to_log, AccessLog,
+    ModelSpec, SimSpec, SimulatedSpec,
 };
 use serde::{Deserialize, Value};
 
@@ -467,11 +466,12 @@ impl SimJobOptions {
 /// Runs the benchmark × spec cross product across `jobs` workers,
 /// reassembling in input order — bit-identical for any worker count,
 /// and byte-identical whether driven by the offline tool or the serve
-/// daemon. When `options.windows` is set, every cell also folds its
-/// event stream into a windowed time-series report with drift
-/// annotations (window width = `options.window_width`, defaulting to
-/// the timeline sample interval). Adaptive cells additionally replay
-/// their policy controller and attach its switch report.
+/// daemon. Each cell is replayed exactly once, through one composed
+/// observer that feeds every report. When `options.windows` is set,
+/// every cell also folds its event stream into a windowed time-series
+/// report with drift annotations (window width =
+/// `options.window_width`, defaulting to the timeline sample interval).
+/// Adaptive cells also attach their policy controller's switch report.
 ///
 /// `cancel` is polled between cells: once set (deadline expiry,
 /// shutdown), remaining cells are skipped and the job returns an error
@@ -500,6 +500,7 @@ pub fn run_sim_job(
         .iter()
         .map(|input| options.oracle.then(|| NextUseIndex::build(&input.trace)))
         .collect();
+    let regret_top = options.regret_top.unwrap_or(TOP_REGRET);
     let simulated: Vec<Option<(SimulatedSpec, u64)>> = par_map(&cells, jobs, |&(i, spec)| {
         if canceled() {
             return None;
@@ -507,26 +508,31 @@ pub fn run_sim_job(
         let started = std::time::Instant::now();
         let input = &inputs[i];
         let every = sample_interval(&input.log);
-        let width = options.window_width.unwrap_or(every).max(1);
-        let (result, metrics) = simulate_metrics(&input.log, spec, input.capacity, every);
-        let (_, costs) = simulate_costs(&input.log, spec, input.capacity, input.phases);
-        let regret = indexes[i].as_ref().map(|index| match options.regret_top {
-            Some(top) => {
-                simulate_regret_top(&input.log, spec, input.capacity, input.phases, index, top).1
-            }
-            None => simulate_regret(&input.log, spec, input.capacity, input.phases, index).1,
-        });
-        let windows = options
-            .windows
-            .then(|| simulate_windows(&input.log, spec, input.capacity, width).1);
-        let switches = simulate_switches(&input.log, spec, input.capacity);
+        let duration_us = input.log.duration.as_micros();
+        // One replay per cell: every report rides the same event stream.
+        let observer = (
+            (
+                MetricsObserver::with_timeline(every),
+                CostObserver::with_phases(input.phases, duration_us),
+            ),
+            (
+                indexes[i].as_ref().map(|index| {
+                    RegretObserver::with_top(index, input.phases, duration_us, regret_top)
+                }),
+                options
+                    .windows
+                    .then(|| WindowObserver::new(options.window_width.unwrap_or(every).max(1))),
+            ),
+        );
+        let (result, ((metrics, costs), (regret, windows)), switches) =
+            replay_sim_observed(&input.log, spec, input.capacity, observer);
         let sim = SimulatedSpec {
             label: spec.label(),
             result,
-            metrics,
-            costs,
-            regret,
-            windows,
+            metrics: metrics.report(),
+            costs: costs.into_report(),
+            regret: regret.map(|r| r.report()),
+            windows: windows.map(|w| w.report()),
             switches,
         };
         Some((sim, started.elapsed().as_micros() as u64))
@@ -881,29 +887,22 @@ pub fn merge_sim_tables(order: &[String], tables: &[String]) -> Result<String, S
 mod tests {
     use super::*;
 
-    fn suite_export(benches: usize, tag: &str) -> String {
-        let mut opts = crate::HarnessOptions {
+    /// A v2 export of the first `benches` interactive benchmarks at
+    /// scale 64, built in memory so parallel tests share no files.
+    fn suite_export(benches: usize) -> String {
+        let opts = crate::HarnessOptions {
             scale: 64,
             suite: Some(gencache_workloads::Suite::Interactive),
             jobs: Some(1),
             ..crate::HarnessOptions::default()
         };
-        let dir = std::env::temp_dir().join(format!(
-            "gencache-ingest-{tag}-{}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("events.jsonl").to_str().unwrap().to_string();
-        opts.events_out = Some(path.clone());
-        let runs = crate::record_all(&opts);
-        crate::export_telemetry(&opts, &runs[..benches]).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-        text
+        let recs = crate::record_all_streamed(&opts);
+        let (bytes, _) = crate::stream_events_to(Vec::new(), &recs[..benches]).unwrap();
+        String::from_utf8(bytes).unwrap()
     }
 
     fn tiny_export() -> String {
-        suite_export(1, "one")
+        suite_export(1)
     }
 
     #[test]
@@ -992,7 +991,7 @@ mod tests {
 
     #[test]
     fn fleet_merge_reassembles_byte_identical_docs() {
-        let text = suite_export(2, "merge");
+        let text = suite_export(2);
         let mut ingest = StreamIngest::new();
         for line in text.lines() {
             ingest.push_line(line).unwrap();
@@ -1025,7 +1024,7 @@ mod tests {
 
     #[test]
     fn adaptive_doc_is_jobs_invariant() {
-        let text = suite_export(2, "adaptive-jobs");
+        let text = suite_export(2);
         let mut ingest = StreamIngest::new();
         for line in text.lines() {
             ingest.push_line(line).unwrap();
@@ -1056,6 +1055,86 @@ mod tests {
                 "adaptive doc with {jobs} jobs diverged from serial"
             );
         }
+    }
+
+    #[test]
+    fn grid_is_jobs_invariant() {
+        use gencache_cache::TraceId;
+        use gencache_obs::TraceOp;
+        use gencache_program::Time;
+
+        let mut ops = vec![];
+        for id in 0..12u64 {
+            ops.push(TraceOp::Create {
+                id: TraceId::new(id),
+                bytes: 100,
+                time: Time::from_micros(id),
+            });
+        }
+        for round in 0..20u64 {
+            for id in 0..12u64 {
+                ops.push(TraceOp::Access {
+                    id: TraceId::new((id + round) % 12),
+                    time: Time::from_micros(100 + round * 12 + id),
+                });
+            }
+        }
+        let trace = SimTrace { ops };
+        let inputs = [SimJobInput {
+            name: "grid".to_string(),
+            log: trace_to_log(&trace, "grid", 1_000_000, 1200),
+            trace,
+            capacity: 600,
+            phases: 4,
+        }];
+        let specs = resolve_sim_specs(
+            &["unified", "gen-45-10-45@hit1", "lru", "adaptive"].map(String::from),
+            false,
+        )
+        .unwrap();
+        let options = SimJobOptions {
+            oracle: true,
+            windows: true,
+            ..SimJobOptions::default()
+        };
+        let serial = run_sim_job(&inputs, &specs, options, 1, None).unwrap();
+        let sims = &serial.benches[0].sims;
+        assert!(
+            sims.iter()
+                .any(|s| s.regret.as_ref().is_some_and(|r| r.total.evictions > 0)),
+            "a 600-byte budget over 1200 bytes of traces must evict"
+        );
+        assert!(
+            sims.iter()
+                .all(|s| s.switches.is_some() == (s.label == "adaptive")),
+            "only adaptive specs carry a switch report"
+        );
+        assert!(
+            sims.iter()
+                .all(|s| s.windows.as_ref().is_some_and(|w| !w.windows.is_empty())),
+            "windowed reports must be populated when requested"
+        );
+        let serial_doc = crate::value_to_json(&sim_metrics_doc(&serial));
+        for jobs in [2, 8] {
+            let par = run_sim_job(&inputs, &specs, options, jobs, None).unwrap();
+            assert_eq!(
+                crate::value_to_json(&sim_metrics_doc(&par)),
+                serial_doc,
+                "grid doc with {jobs} jobs diverged from serial"
+            );
+            for (a, b) in sims.iter().zip(&par.benches[0].sims) {
+                assert_eq!(
+                    a.result.metrics, b.result.metrics,
+                    "{} jobs={jobs}",
+                    a.label
+                );
+            }
+        }
+        let bare = run_sim_job(&inputs, &specs, SimJobOptions::default(), 1, None).unwrap();
+        assert!(bare.benches[0]
+            .sims
+            .iter()
+            .all(|s| s.regret.is_none() && s.windows.is_none()));
     }
 
     #[test]

@@ -57,6 +57,20 @@ impl<A: Observer, B: Observer> Observer for (A, B) {
     }
 }
 
+/// An optional observer: `None` is disabled, so a composed observer can
+/// carry halves that only some replays ask for.
+impl<O: Observer> Observer for Option<O> {
+    fn enabled(&self) -> bool {
+        self.as_ref().is_some_and(Observer::enabled)
+    }
+
+    fn on_event(&mut self, event: &CacheEvent) {
+        if let Some(observer) = self {
+            observer.on_event(event);
+        }
+    }
+}
+
 /// Mutable references forward to the referent, so an observer owned by
 /// the caller can be lent to a model for one replay.
 impl<O: Observer> Observer for &mut O {
@@ -197,6 +211,17 @@ mod tests {
         assert!(half.enabled());
         half.on_event(&hit());
         assert_eq!(half.1.events.len(), 1);
+
+        // Optional halves: `None` is disabled and skipped, `Some`
+        // forwards, and `Some` of a disabled observer stays disabled.
+        assert!(!None::<EventBuffer>.enabled());
+        assert!(!Some(NullObserver).enabled());
+        let mut optional = (Some(EventBuffer::new()), None::<EventBuffer>);
+        assert!(optional.enabled());
+        optional.on_event(&hit());
+        assert_eq!(optional.0.as_ref().map(|b| b.events.len()), Some(1));
+        assert!(optional.1.is_none());
+        assert!(!(None::<EventBuffer>, None::<EventBuffer>).enabled());
     }
 
     #[test]

@@ -68,9 +68,8 @@ pub use replay::{
     replay_into_metered, Comparison, ReplayCursor, ReplayResult, ReplayStep,
 };
 pub use simulate::{
-    parse_spec, replay_sim_observed, simulate_costs, simulate_grid, simulate_metrics,
-    simulate_regret, simulate_regret_top, simulate_switches, simulate_windows, trace_to_log,
-    GridOptions, LocalPolicy, SimSpec, SimulatedSpec,
+    parse_spec, replay_sim_observed, simulate_costs, simulate_metrics, simulate_regret,
+    simulate_switches, trace_to_log, LocalPolicy, SimSpec, SimulatedSpec,
 };
 pub use streamed::{compare_figure9_streamed, StreamedRecording, DEFAULT_STREAM_DEPTH};
 pub use sweep::{best_point, policy_grid, proportion_grid, sweep, sweep_with_jobs, SweepPoint};

@@ -10,10 +10,9 @@
 
 use gencache_cache::{TraceId, TraceRecord};
 use gencache_program::Time;
-use serde::{Deserialize, Serialize};
 
 /// One entry of the verbose log.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LogRecord {
     /// A trace was generated for the first time (and begins executing).
     Create {
@@ -51,7 +50,7 @@ pub enum LogRecord {
 }
 
 /// A complete recorded run, ready for replay.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AccessLog {
     /// Benchmark name the log was recorded from.
     pub benchmark: String,
@@ -131,31 +130,6 @@ impl AccessLog {
     }
 }
 
-impl AccessLog {
-    /// Serializes the log as JSON to `path`. Verbose logs are reused
-    /// across simulations exactly as in the paper's methodology.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O or serialization error.
-    pub fn save_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let file = std::fs::File::create(path)?;
-        let writer = std::io::BufWriter::new(file);
-        serde_json::to_writer(writer, self).map_err(std::io::Error::other)
-    }
-
-    /// Loads a log previously written by [`AccessLog::save_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O or deserialization error.
-    pub fn load_json(path: impl AsRef<std::path::Path>) -> std::io::Result<AccessLog> {
-        let file = std::fs::File::open(path)?;
-        let reader = std::io::BufReader::new(file);
-        serde_json::from_reader(reader).map_err(std::io::Error::other)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,27 +188,5 @@ mod tests {
         assert_eq!(log.access_count(), 0);
         assert_eq!(log.median_trace_bytes(), 0);
         assert_eq!(log.invalidated_bytes(), 0);
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let log = sample();
-        let dir = std::env::temp_dir().join("gencache-log-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sample.json");
-        log.save_json(&path).unwrap();
-        let back = AccessLog::load_json(&path).unwrap();
-        assert_eq!(back.records.len(), log.records.len());
-        assert_eq!(back.benchmark, "t");
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let log = sample();
-        let json = serde_json::to_string(&log).unwrap();
-        let back: AccessLog = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.records.len(), log.records.len());
-        assert_eq!(back.peak_trace_bytes, 500);
     }
 }

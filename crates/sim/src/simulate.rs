@@ -12,8 +12,8 @@
 //! [`AccessLog`] from a recovered [`SimTrace`], [`SimSpec`] names any
 //! configuration — unified, generational with arbitrary proportions and
 //! promotion rule, or one of the local replacement policies — and
-//! [`simulate_grid`] fans a spec grid across worker threads producing
-//! the same report documents the live export path emits.
+//! [`replay_sim_observed`] replays one spec through any observer, so a
+//! single pass can feed every report the live export path emits.
 
 use gencache_cache::{
     ClockCache, CodeCache, FlushCache, LruCache, PhaseDetector, PreemptiveFlushCache,
@@ -24,8 +24,8 @@ use gencache_core::{
     PromotionPolicy, Proportions, SwitchReport, UnifiedModel,
 };
 use gencache_obs::{
-    CostObserver, CostReport, MetricsObserver, MetricsReport, NextUseIndex, Observer,
-    RegretObserver, RegretReport, SimTrace, TraceOp, WindowObserver, WindowReport, TOP_REGRET,
+    CostObserver, CostReport, MetricsObserver, MetricsReport, NextUseIndex, NullObserver, Observer,
+    RegretObserver, RegretReport, SimTrace, TraceOp, WindowReport,
 };
 use gencache_program::{Addr, Time};
 
@@ -258,7 +258,10 @@ fn parse_gen_body(label: &str, body: &str) -> Result<(Proportions, PromotionPoli
 }
 
 /// Replays `log` into the configuration named by `spec` over an
-/// explicit `capacity` budget, with `observer` attached.
+/// explicit `capacity` budget, with `observer` attached. Adaptive specs
+/// also return their controller's account of the run — epochs, drift
+/// detections, probe auditions and committed switches — taken from the
+/// same replay; every static spec returns `None`.
 ///
 /// With `capacity == (log.peak_trace_bytes / 2).max(1)` — the paper's
 /// standard rule — this is behaviorally identical to the live export
@@ -269,17 +272,19 @@ pub fn replay_sim_observed<O: Observer>(
     spec: SimSpec,
     capacity: u64,
     observer: O,
-) -> (ReplayResult, O) {
+) -> (ReplayResult, O, Option<SwitchReport>) {
+    fn run(log: &AccessLog, model: &mut dyn CacheModel) -> ReplayResult {
+        replay_into(log, model);
+        ReplayResult {
+            model: model.name(),
+            metrics: *model.metrics(),
+            ledger: *model.ledger(),
+        }
+    }
     match spec {
         SimSpec::Model(ModelSpec::Unified) => {
             let mut model = UnifiedModel::observed(capacity, observer);
-            replay_into(log, &mut model);
-            let result = ReplayResult {
-                model: model.name(),
-                metrics: *model.metrics(),
-                ledger: *model.ledger(),
-            };
-            (result, model.into_observer())
+            (run(log, &mut model), model.into_observer(), None)
         }
         SimSpec::Model(ModelSpec::Generational {
             proportions,
@@ -287,49 +292,27 @@ pub fn replay_sim_observed<O: Observer>(
         }) => {
             let config = GenerationalConfig::new(capacity, proportions, policy);
             let mut model = GenerationalModel::observed(config, observer);
-            replay_into(log, &mut model);
-            let result = ReplayResult {
-                model: model.name(),
-                metrics: *model.metrics(),
-                ledger: *model.ledger(),
-            };
-            (result, model.into_observer())
+            (run(log, &mut model), model.into_observer(), None)
         }
         SimSpec::Local(policy) => {
             let mut model =
                 UnifiedModel::with_cache_observed(policy.name(), policy.build(capacity), observer);
-            replay_into(log, &mut model);
-            let result = ReplayResult {
-                model: model.name(),
-                metrics: *model.metrics(),
-                ledger: *model.ledger(),
-            };
-            (result, model.into_observer())
+            (run(log, &mut model), model.into_observer(), None)
         }
         SimSpec::Adaptive(set) => {
             let mut model = AdaptiveModel::observed(set, capacity, observer);
-            replay_into(log, &mut model);
-            let result = ReplayResult {
-                model: model.name(),
-                metrics: *model.metrics(),
-                ledger: *model.ledger(),
-            };
-            (result, model.into_observer())
+            let result = run(log, &mut model);
+            let switches = model.switch_report();
+            (result, model.into_observer(), Some(switches))
         }
     }
 }
 
-/// Replays an adaptive spec and returns the controller's account of the
-/// run — epochs, drift detections, probe auditions and committed
-/// switches. Returns `None` for non-adaptive specs, which have no
-/// controller to narrate.
+/// The adaptive controller's switch report for `spec` (see
+/// [`replay_sim_observed`]); `None` for non-adaptive specs, which have
+/// no controller to narrate.
 pub fn simulate_switches(log: &AccessLog, spec: SimSpec, capacity: u64) -> Option<SwitchReport> {
-    let SimSpec::Adaptive(set) = spec else {
-        return None;
-    };
-    let mut model = AdaptiveModel::new(set, capacity);
-    replay_into(log, &mut model);
-    Some(model.switch_report())
+    replay_sim_observed(log, spec, capacity, NullObserver).2
 }
 
 /// [`replay_sim_observed`] through a [`MetricsObserver`]; `sample_every`
@@ -340,8 +323,12 @@ pub fn simulate_metrics(
     capacity: u64,
     sample_every: u64,
 ) -> (ReplayResult, MetricsReport) {
-    let (result, observer) =
-        replay_sim_observed(log, spec, capacity, MetricsObserver::with_timeline(sample_every));
+    let (result, observer, _) = replay_sim_observed(
+        log,
+        spec,
+        capacity,
+        MetricsObserver::with_timeline(sample_every),
+    );
     (result, observer.report())
 }
 
@@ -354,7 +341,7 @@ pub fn simulate_costs(
     phases: u32,
 ) -> (ReplayResult, CostReport) {
     let observer = CostObserver::with_phases(phases, log.duration.as_micros());
-    let (result, observer) = replay_sim_observed(log, spec, capacity, observer);
+    let (result, observer, _) = replay_sim_observed(log, spec, capacity, observer);
     (result, observer.into_report())
 }
 
@@ -369,38 +356,8 @@ pub fn simulate_regret(
     phases: u32,
     index: &NextUseIndex,
 ) -> (ReplayResult, RegretReport) {
-    simulate_regret_top(log, spec, capacity, phases, index, TOP_REGRET)
-}
-
-/// [`simulate_regret`] with an explicit contributor cap: the report
-/// keeps the `top` highest-regret traces instead of the default
-/// [`TOP_REGRET`].
-pub fn simulate_regret_top(
-    log: &AccessLog,
-    spec: SimSpec,
-    capacity: u64,
-    phases: u32,
-    index: &NextUseIndex,
-    top: usize,
-) -> (ReplayResult, RegretReport) {
-    let observer = RegretObserver::with_top(index, phases, log.duration.as_micros(), top);
-    let (result, observer) = replay_sim_observed(log, spec, capacity, observer);
-    (result, observer.report())
-}
-
-/// [`replay_sim_observed`] through a [`WindowObserver`]: the event
-/// stream folded into fixed access-count windows with drift
-/// annotations. `window_accesses` is the window width; using the same
-/// ~64-sample interval rule as the timeline keeps the series
-/// deterministic and reproducible offline.
-pub fn simulate_windows(
-    log: &AccessLog,
-    spec: SimSpec,
-    capacity: u64,
-    window_accesses: u64,
-) -> (ReplayResult, WindowReport) {
-    let (result, observer) =
-        replay_sim_observed(log, spec, capacity, WindowObserver::new(window_accesses));
+    let observer = RegretObserver::with_phases(index, phases, log.duration.as_micros());
+    let (result, observer, _) = replay_sim_observed(log, spec, capacity, observer);
     (result, observer.report())
 }
 
@@ -428,66 +385,6 @@ pub struct SimulatedSpec {
     /// [`SimSpec::Adaptive`] specs, absent for every static spec so
     /// static documents keep their exact bytes.
     pub switches: Option<SwitchReport>,
-}
-
-/// Replay-wide knobs for [`simulate_grid`], shared by every cell.
-#[derive(Debug, Clone, Copy)]
-pub struct GridOptions<'a> {
-    /// Phase count for cost and regret attribution.
-    pub phases: u32,
-    /// Occupancy sampling stride; also the window width when `windows`
-    /// is set.
-    pub sample_every: u64,
-    /// Worker fan-out; results reassemble in grid order regardless.
-    pub jobs: usize,
-    /// Additionally score each spec's evictions for Belady regret
-    /// against this next-use index.
-    pub regret_index: Option<&'a NextUseIndex>,
-    /// Attach a windowed time-series report to each spec.
-    pub windows: bool,
-    /// Explicit window width in accesses; `None` falls back to
-    /// `sample_every` (the historical accesses/64 rule).
-    pub window_width: Option<u64>,
-    /// Regret-contributor cap; `None` keeps the default
-    /// [`TOP_REGRET`].
-    pub regret_top: Option<usize>,
-}
-
-/// Replays `log` against every spec in the grid, fanning the grid
-/// across up to `options.jobs` workers. Results are reassembled in
-/// grid order, so the output is bit-identical for every `jobs` value.
-/// When [`GridOptions::regret_index`] is supplied, each spec's
-/// evictions are additionally scored for Belady regret against it;
-/// when [`GridOptions::windows`] is set, each spec also gets a
-/// windowed time-series report (window width = `sample_every`).
-pub fn simulate_grid(
-    log: &AccessLog,
-    specs: &[SimSpec],
-    capacity: u64,
-    options: GridOptions<'_>,
-) -> Vec<SimulatedSpec> {
-    crate::par::par_map(specs, options.jobs, |&spec| {
-        let (result, metrics) = simulate_metrics(log, spec, capacity, options.sample_every);
-        let (_, costs) = simulate_costs(log, spec, capacity, options.phases);
-        let top = options.regret_top.unwrap_or(TOP_REGRET);
-        let regret = options
-            .regret_index
-            .map(|index| simulate_regret_top(log, spec, capacity, options.phases, index, top).1);
-        let width = options.window_width.unwrap_or(options.sample_every).max(1);
-        let windows = options
-            .windows
-            .then(|| simulate_windows(log, spec, capacity, width).1);
-        let switches = simulate_switches(log, spec, capacity);
-        SimulatedSpec {
-            label: spec.label(),
-            result,
-            metrics,
-            costs,
-            regret,
-            windows,
-            switches,
-        }
-    })
 }
 
 #[cfg(test)]
@@ -601,86 +498,5 @@ mod tests {
             log.records[3],
             LogRecord::Invalidate { id, .. } if id == TraceId::new(1)
         ));
-    }
-
-    #[test]
-    fn grid_is_jobs_invariant() {
-        let mut ops = vec![];
-        for id in 0..12u64 {
-            ops.push(TraceOp::Create {
-                id: TraceId::new(id),
-                bytes: 100,
-                time: Time::from_micros(id),
-            });
-        }
-        for round in 0..20u64 {
-            for id in 0..12u64 {
-                ops.push(TraceOp::Access {
-                    id: TraceId::new((id + round) % 12),
-                    time: Time::from_micros(100 + round * 12 + id),
-                });
-            }
-        }
-        let trace = SimTrace { ops };
-        let log = trace_to_log(&trace, "grid", 1_000_000, 1200);
-        let index = NextUseIndex::build(&trace);
-        let specs = vec![
-            SimSpec::Model(ModelSpec::Unified),
-            SimSpec::Model(ModelSpec::best_generational()),
-            SimSpec::Local(LocalPolicy::Lru),
-            SimSpec::Adaptive(CandidateSet::default_set()),
-        ];
-        let options = |jobs| GridOptions {
-            phases: 4,
-            sample_every: 16,
-            jobs,
-            regret_index: Some(&index),
-            windows: true,
-            window_width: None,
-            regret_top: None,
-        };
-        let serial = simulate_grid(&log, &specs, 600, options(1));
-        assert!(
-            serial.iter().any(|s| s
-                .regret
-                .as_ref()
-                .is_some_and(|r| r.total.evictions > 0)),
-            "a 600-byte budget over 1200 bytes of traces must evict"
-        );
-        for jobs in [2, 8] {
-            let par = simulate_grid(&log, &specs, 600, options(jobs));
-            for (a, b) in serial.iter().zip(&par) {
-                assert_eq!(a.label, b.label);
-                assert_eq!(a.metrics, b.metrics);
-                assert_eq!(a.costs, b.costs);
-                assert_eq!(a.regret, b.regret);
-                assert_eq!(a.windows, b.windows);
-                assert_eq!(a.switches, b.switches);
-                assert_eq!(a.result.metrics, b.result.metrics);
-            }
-        }
-        assert!(
-            serial
-                .iter()
-                .all(|s| s.switches.is_some() == (s.label == "adaptive")),
-            "only adaptive specs carry a switch report"
-        );
-        assert!(
-            serial
-                .iter()
-                .all(|s| s.windows.as_ref().is_some_and(|w| !w.windows.is_empty())),
-            "windowed reports must be populated when requested"
-        );
-        let bare = simulate_grid(
-            &log,
-            &specs,
-            600,
-            GridOptions {
-                regret_index: None,
-                windows: false,
-                ..options(1)
-            },
-        );
-        assert!(bare.iter().all(|s| s.regret.is_none() && s.windows.is_none()));
     }
 }

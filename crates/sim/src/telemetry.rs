@@ -1,7 +1,7 @@
 //! Observer-aware replay: event capture and mergeable metrics.
 //!
-//! These helpers wrap [`replay_into`](crate::replay_into) with the
-//! instrumented model constructors from `gencache-core`, producing either
+//! These helpers wrap [`replay_sim_observed`](crate::replay_sim_observed)
+//! at the paper's standard `0.5 × maxCache` budget, producing either
 //! a full [`CacheEvent`] stream (for JSONL export and the `explain`
 //! tool) or an aggregated [`MetricsReport`].
 //!
@@ -11,16 +11,15 @@
 //! worker count, extending the repo's determinism guarantee to
 //! telemetry collection.
 
-use gencache_core::{
-    CacheModel, GenerationalConfig, GenerationalModel, PromotionPolicy, Proportions, UnifiedModel,
-};
+use gencache_core::{GenerationalConfig, PromotionPolicy, Proportions};
 use gencache_obs::{
     CacheEvent, CostObserver, CostReport, EventBuffer, MetricsObserver, MetricsReport, Observer,
     SampledReport, SamplingObserver, SamplingParams,
 };
 
 use crate::log::AccessLog;
-use crate::replay::{replay_into, ReplayResult};
+use crate::replay::ReplayResult;
+use crate::simulate::{replay_sim_observed, SimSpec};
 
 /// Which cache organization to instrument.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,28 +66,8 @@ pub fn replay_observed<O: Observer>(
     observer: O,
 ) -> (ReplayResult, O) {
     let capacity = (log.peak_trace_bytes / 2).max(1);
-    match spec.generational_config(capacity) {
-        None => {
-            let mut model = UnifiedModel::observed(capacity, observer);
-            replay_into(log, &mut model);
-            let result = ReplayResult {
-                model: model.name(),
-                metrics: *model.metrics(),
-                ledger: *model.ledger(),
-            };
-            (result, model.into_observer())
-        }
-        Some(config) => {
-            let mut model = GenerationalModel::observed(config, observer);
-            replay_into(log, &mut model);
-            let result = ReplayResult {
-                model: model.name(),
-                metrics: *model.metrics(),
-                ledger: *model.ledger(),
-            };
-            (result, model.into_observer())
-        }
-    }
+    let (result, observer, _) = replay_sim_observed(log, SimSpec::Model(spec), capacity, observer);
+    (result, observer)
 }
 
 /// Replays `log` and captures the complete event stream.

@@ -24,6 +24,8 @@ sim_metrics="target/tmp/check-metrics-sim.json"
 baseline="target/tmp/check-baseline.json"
 regret_metrics="target/tmp/check-metrics-regret.json"
 win_metrics="target/tmp/check-metrics-windows.json"
+fused_jobs1="target/tmp/check-metrics-fused-jobs1.json"
+fused_jobs2="target/tmp/check-metrics-fused-jobs2.json"
 serve_metrics="target/tmp/check-metrics-serve.json"
 serve_log="target/tmp/check-serve.log"
 serve_events_log="target/tmp/check-serve-events.jsonl"
@@ -44,7 +46,7 @@ cleanup() {
     [ -n "$pid" ] && kill "$pid" 2>/dev/null
   done
   rm -f "$events" "$live_metrics" "$sim_metrics" "$baseline" "$regret_metrics" \
-    "$win_metrics" "$adaptive_events" \
+    "$win_metrics" "$fused_jobs1" "$fused_jobs2" "$adaptive_events" \
     "$serve_metrics" "$serve_log" "$serve_events_log" \
     "$fleet_events" "$fleet_second" "$fleet_sim" "$fleet_served" \
     "$shard1_log" "$shard2_log" "$router_log"
@@ -109,6 +111,16 @@ echo "$regret_out" | grep -q "Oracle regret:" \
   || { echo "explain --oracle printed no regret summary"; exit 1; }
 echo "$regret_out" | grep -q "Worst decisions:" \
   || { echo "explain --oracle printed no worst-decision narratives"; exit 1; }
+
+echo "=== fused replay smoke: a regret+windows+switches doc is --jobs invariant"
+./target/release/simulate --events "$events" --grid --oracle --windows \
+  --spec adaptive --jobs 1 --metrics-out "$fused_jobs1" > /dev/null
+./target/release/simulate --events "$events" --grid --oracle --windows \
+  --spec adaptive --jobs 2 --metrics-out "$fused_jobs2" > /dev/null
+grep -q '"switches":' "$fused_jobs1" \
+  || { echo "adaptive grid doc has no switches section"; exit 1; }
+cmp "$fused_jobs1" "$fused_jobs2" \
+  || { echo "grid+oracle+windows+adaptive doc differs between --jobs 1 and 2"; exit 1; }
 
 echo "=== adaptive smoke: controller beats the worst static grid row and narrates its switches"
 ./target/release/explain --bench phaseflip --scale 16 \

@@ -2,7 +2,10 @@
 //! verbose log → bounded-cache replay, across crate boundaries.
 
 use gencache_core::{CacheModel, GenerationalConfig, GenerationalModel, UnifiedModel};
-use gencache_sim::{compare_figure9, record, replay_into, AccessLog, LogRecord};
+use gencache_obs::{reconstruct_trace, EventRecord, JsonlSink};
+use gencache_sim::{
+    compare_figure9, record, replay_into, replay_observed, trace_to_log, LogRecord, ModelSpec,
+};
 use gencache_workloads::{benchmark, Suite, WorkloadProfile};
 
 fn small_profile() -> WorkloadProfile {
@@ -48,9 +51,27 @@ fn whole_pipeline_is_deterministic() {
 
 #[test]
 fn log_serde_roundtrip_replays_identically() {
+    // A log persists as its v2 event export: serialized to JSON lines,
+    // parsed back and inverted, it replays identically.
     let run = record(&small_profile()).expect("plans");
-    let json = serde_json::to_string(&run.log).expect("serializes");
-    let back: AccessLog = serde_json::from_str(&json).expect("deserializes");
+    let sink = JsonlSink::new(Vec::new(), "e2e", "unified");
+    let (_, sink) = replay_observed(&run.log, ModelSpec::Unified, sink);
+    let json = String::from_utf8(sink.finish().unwrap()).expect("utf-8 export");
+    let events: Vec<_> = json
+        .lines()
+        .map(|line| {
+            serde_json::from_str::<EventRecord>(line)
+                .expect("deserializes")
+                .event
+        })
+        .collect();
+    let trace = reconstruct_trace(&events).expect("stream inverts");
+    let back = trace_to_log(
+        &trace,
+        "e2e",
+        run.log.duration.as_micros(),
+        run.log.peak_trace_bytes,
+    );
 
     let cap = (run.log.peak_trace_bytes / 2).max(1);
     let mut m1 = UnifiedModel::new(cap);

@@ -14,15 +14,19 @@
 //!    reconstructed log equals the sweep re-run on the original log —
 //!    one export can stand in for `sweep_proportions` re-recording.
 //!
+//! The grid test also checks that `run_sim_job`'s single fused replay
+//! per cell yields the same reports as one separate replay per report.
+//!
 //! Plus the oracle sanity bound: the Belady-style furthest-next-use
 //! replayer never misses more than the unified baseline.
 
-use gencache_bench::sample_interval;
-use gencache_obs::{oracle_replay, reconstruct_trace, NextUseIndex};
+use gencache_bench::ingest::{run_sim_job, sim_metrics_doc, SimJobInput, SimJobOptions};
+use gencache_bench::{sample_interval, value_to_json};
+use gencache_obs::{oracle_replay, reconstruct_trace, NextUseIndex, WindowObserver};
 use gencache_sim::{
-    collect_costs, collect_events, collect_metrics, parse_spec, record, simulate_costs,
-    simulate_grid, simulate_metrics, sweep_with_jobs, trace_to_log, AccessLog, GridOptions,
-    ModelSpec, SimSpec,
+    collect_costs, collect_events, collect_metrics, parse_spec, record, replay_sim_observed,
+    simulate_costs, simulate_metrics, simulate_regret, simulate_switches, sweep_with_jobs,
+    trace_to_log, AccessLog, ModelSpec, SimSpec,
 };
 use gencache_workloads::benchmark;
 
@@ -41,6 +45,10 @@ fn recorded_and_reconstructed() -> (AccessLog, AccessLog, u64) {
     );
     let capacity = (run.log.peak_trace_bytes / 2).max(1);
     (run.log, reconstructed, capacity)
+}
+
+fn json<T: serde::Serialize>(value: &T) -> String {
+    serde_json::to_string(value).expect("reports serialize")
 }
 
 fn model_spec(label: &str) -> (SimSpec, ModelSpec) {
@@ -92,49 +100,81 @@ fn simulation_reproduces_recording_and_counterfactuals_bitwise() {
 fn simulated_grid_is_jobs_invariant() {
     let (original, reconstructed, capacity) = recorded_and_reconstructed();
     let every = sample_interval(&reconstructed);
-    let specs: Vec<SimSpec> = ["unified", "gen-45-10-45@hit1", "30-20-50@evict5", "lru"]
-        .iter()
-        .map(|l| parse_spec(l).expect("valid spec label"))
-        .collect();
+    let phases = 12;
+    let specs: Vec<SimSpec> = [
+        "unified",
+        "gen-45-10-45@hit1",
+        "30-20-50@evict5",
+        "lru",
+        "adaptive",
+    ]
+    .iter()
+    .map(|l| parse_spec(l).expect("valid spec label"))
+    .collect();
     let (_, events) = collect_events(&original, ModelSpec::Unified);
     let trace = reconstruct_trace(&events).expect("stream inverts");
     let index = NextUseIndex::build(&trace);
-    let options = |jobs| GridOptions {
-        phases: 12,
-        sample_every: every,
-        jobs,
-        regret_index: Some(&index),
+    let inputs = [SimJobInput {
+        name: "word".to_string(),
+        trace,
+        log: reconstructed.clone(),
+        capacity,
+        phases,
+    }];
+    let options = SimJobOptions {
+        oracle: true,
         windows: true,
-        window_width: None,
-        regret_top: None,
+        ..SimJobOptions::default()
     };
-    let serial = simulate_grid(&reconstructed, &specs, capacity, options(1));
+    let serial = run_sim_job(&inputs, &specs, options, 1, None).expect("job runs");
+    let sims = &serial.benches[0].sims;
     assert!(
-        serial.iter().all(|s| s.regret.is_some()),
-        "every grid cell gets a regret report when an index is supplied"
+        sims.iter().all(|s| s.regret.is_some()),
+        "every grid cell gets a regret report when the oracle is on"
     );
     assert!(
-        serial.iter().all(|s| s.windows.is_some()),
+        sims.iter().all(|s| s.windows.is_some()),
         "every grid cell gets a windowed report when requested"
     );
+
+    // The single fused replay per cell must equal one separate replay
+    // per report, byte for byte.
+    for (&spec, sim) in specs.iter().zip(sims) {
+        let label = &sim.label;
+        let (result, metrics) = simulate_metrics(&reconstructed, spec, capacity, every);
+        assert_eq!(sim.result.metrics, result.metrics, "{label} model metrics");
+        assert_eq!(
+            sim.result.ledger, result.ledger,
+            "{label} Equation 3 ledger"
+        );
+        assert_eq!(json(&sim.metrics), json(&metrics), "{label} metrics");
+        let (_, costs) = simulate_costs(&reconstructed, spec, capacity, phases);
+        assert_eq!(json(&sim.costs), json(&costs), "{label} costs");
+        let (_, regret) = simulate_regret(&reconstructed, spec, capacity, phases, &index);
+        assert_eq!(json(&sim.regret), json(&Some(regret)), "{label} regret");
+        let (_, windows, _) =
+            replay_sim_observed(&reconstructed, spec, capacity, WindowObserver::new(every));
+        assert_eq!(
+            json(&sim.windows),
+            json(&Some(windows.report())),
+            "{label} windows"
+        );
+        let switches = simulate_switches(&reconstructed, spec, capacity);
+        assert_eq!(json(&sim.switches), json(&switches), "{label} switches");
+    }
+
+    let serial_doc = value_to_json(&sim_metrics_doc(&serial));
     for jobs in [2, 8] {
-        let parallel = simulate_grid(&reconstructed, &specs, capacity, options(jobs));
-        assert_eq!(serial.len(), parallel.len());
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.label, b.label, "jobs={jobs}");
-            assert_eq!(a.result.metrics, b.result.metrics, "{} jobs={jobs}", a.label);
-            assert_eq!(a.metrics, b.metrics, "{} jobs={jobs}", a.label);
-            assert_eq!(a.costs, b.costs, "{} jobs={jobs}", a.label);
+        let parallel = run_sim_job(&inputs, &specs, options, jobs, None).expect("job runs");
+        assert_eq!(
+            value_to_json(&sim_metrics_doc(&parallel)),
+            serial_doc,
+            "jobs={jobs}"
+        );
+        for (a, b) in sims.iter().zip(&parallel.benches[0].sims) {
             assert_eq!(
-                serde_json::to_string(&a.regret).unwrap(),
-                serde_json::to_string(&b.regret).unwrap(),
-                "{} regret jobs={jobs}",
-                a.label
-            );
-            assert_eq!(
-                serde_json::to_string(&a.windows).unwrap(),
-                serde_json::to_string(&b.windows).unwrap(),
-                "{} windows jobs={jobs}",
+                a.result.metrics, b.result.metrics,
+                "{} jobs={jobs}",
                 a.label
             );
         }
