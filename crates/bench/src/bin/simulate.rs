@@ -150,16 +150,30 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> SimOptions {
 /// Streams the export (file or stdin) through the shared ingest, line
 /// by line — the raw events are never materialized.
 fn ingest_export(path: &str) -> Result<StreamIngest, String> {
-    let reader = open_lines(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+    let mut reader = open_lines(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     let mut ingest = StreamIngest::new();
     let mut first_content_line = true;
-    for (i, line) in reader.lines().enumerate() {
-        let line = line.map_err(|e| format!("{path}:{}: {e}", i + 1))?;
+    // One buffer for the whole file; `lines()` would allocate per line.
+    let mut buf = String::new();
+    for i in 0usize.. {
+        buf.clear();
+        if reader
+            .read_line(&mut buf)
+            .map_err(|e| format!("{path}:{}: {e}", i + 1))?
+            == 0
+        {
+            break;
+        }
+        // The terminator `lines()` strips: `\n`, or `\r\n`.
+        let line = match buf.strip_suffix('\n') {
+            Some(line) => line.strip_suffix('\r').unwrap_or(line),
+            None => &buf,
+        };
         if line.trim().is_empty() {
             continue;
         }
         ingest
-            .push_line(&line)
+            .push_line(line)
             .map_err(|e| format!("{path}:{}: {e}", i + 1))?;
         if first_content_line && !ingest.has_header() {
             eprintln!(

@@ -29,9 +29,10 @@ use std::io::{self, BufRead, BufReader};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use gencache_obs::{
-    oracle_replay, parse_stream_line, CostObserver, CostReport, MetricsObserver, MetricsReport,
-    NextUseIndex, OracleResult, RegretObserver, RegretReport, RunMeta, SimTrace, StreamLine,
-    TraceRebuilder, WindowObserver, WindowReport, METRICS_SCHEMA, METRICS_VERSION, TOP_REGRET,
+    decode_event_line, oracle_replay, parse_stream_line, CacheEvent, CostObserver, CostReport,
+    MetricsObserver, MetricsReport, NextUseIndex, OracleResult, RegretObserver, RegretReport,
+    RunMeta, SimTrace, StreamLine, TraceRebuilder, WindowObserver, WindowReport, METRICS_SCHEMA,
+    METRICS_VERSION, TOP_REGRET,
 };
 use gencache_core::SwitchReport;
 use gencache_sim::par::par_map;
@@ -75,12 +76,24 @@ struct ModelState {
 }
 
 /// Ingestion state for one benchmark.
-#[derive(Default)]
 struct BenchIngest {
+    name: String,
     models: Vec<String>,
     meta: BTreeMap<String, RunMeta>,
     reference: SimTrace,
-    states: BTreeMap<String, ModelState>,
+    /// One entry per model stream that produced events, in arrival
+    /// order.
+    states: Vec<(String, ModelState)>,
+}
+
+/// The `(source, model)` stream currently delivering events, with the
+/// indexes of its bench and model state, so a line of the same stream
+/// costs neither an allocation nor a lookup.
+struct ActiveStream {
+    source: String,
+    model: String,
+    bench: usize,
+    state: usize,
 }
 
 /// Incremental, bounded-memory parser for a v2 `gencache-events`
@@ -91,14 +104,14 @@ pub struct StreamIngest {
     saw_header: bool,
     lines: u64,
     bytes: u64,
-    order: Vec<String>,
-    benches: BTreeMap<String, BenchIngest>,
-    /// The `(source, model)` stream currently delivering events; a
-    /// previously-seen stream reappearing after another means the upload
-    /// interleaves streams, which the O(1) cursor verification cannot
-    /// process — caught here with a clear error instead of a confusing
-    /// op-by-op divergence report.
-    active: Option<(String, String)>,
+    /// Benchmarks in first-appearance order.
+    benches: Vec<BenchIngest>,
+    /// The stream currently delivering events; a previously-seen stream
+    /// reappearing after another means the upload interleaves streams,
+    /// which the O(1) cursor verification cannot process — caught here
+    /// with a clear error instead of a confusing op-by-op divergence
+    /// report.
+    active: Option<ActiveStream>,
 }
 
 impl std::fmt::Debug for StreamIngest {
@@ -106,7 +119,10 @@ impl std::fmt::Debug for StreamIngest {
         f.debug_struct("StreamIngest")
             .field("lines", &self.lines)
             .field("bytes", &self.bytes)
-            .field("benchmarks", &self.order)
+            .field(
+                "benchmarks",
+                &self.benches.iter().map(|b| &b.name).collect::<Vec<_>>(),
+            )
             .finish_non_exhaustive()
     }
 }
@@ -146,82 +162,100 @@ impl StreamIngest {
             return Ok(());
         }
         self.lines += 1;
+        if let Some(decoded) = decode_event_line(line) {
+            return self.push_event(decoded.source, decoded.model, &decoded.event);
+        }
         match parse_stream_line(line)? {
             StreamLine::Header(header) => {
                 header.validate()?;
                 self.saw_header = true;
             }
             StreamLine::Meta(meta) => {
-                let bench = bench_entry(&mut self.order, &mut self.benches, &meta.source);
+                let b = bench_index(&mut self.benches, &meta.source);
+                let bench = &mut self.benches[b];
                 if !bench.models.contains(&meta.model) {
                     bench.models.push(meta.model.clone());
                 }
                 bench.meta.insert(meta.model.clone(), meta);
             }
             StreamLine::Event(record) => {
-                let source = record.source;
-                let model = record.model;
-                let bench = bench_entry(&mut self.order, &mut self.benches, &source);
-                let key = (source.clone(), model.clone());
-                if self.active.as_ref() != Some(&key) {
-                    if bench.states.contains_key(&model) {
+                self.push_event(&record.source, &record.model, &record.event)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Feeds one event of the `(source, model)` stream to its rebuilder
+    /// and verifies the recovered op against the benchmark's reference.
+    fn push_event(&mut self, source: &str, model: &str, event: &CacheEvent) -> Result<(), String> {
+        let (b, m) = match &self.active {
+            Some(a) if a.source == source && a.model == model => (a.bench, a.state),
+            _ => self.switch_stream(source, model)?,
+        };
+        let bench = &mut self.benches[b];
+        let state = &mut bench.states[m].1;
+        let op = state
+            .rebuilder
+            .push(event)
+            .map_err(|e| format!("{source} [{model}]: {e}"))?;
+        if let Some(op) = op {
+            match &mut state.role {
+                ModelRole::Builder => bench.reference.ops.push(op),
+                ModelRole::Checker { cursor } => {
+                    if bench.reference.ops.get(*cursor) != Some(&op) {
                         return Err(format!(
-                            "{source}: stream for model {model:?} reappears after \
-                             another stream — the upload interleaves (source, model) \
-                             streams; lines must stay grouped per stream exactly as \
-                             the exporter writes them"
+                            "{source}: stream for {model:?} diverges from the \
+                             benchmark's reference frontend trace at op {} — the \
+                             export mixes runs (or interleaves streams out of \
+                             export order)",
+                            *cursor
                         ));
                     }
-                    self.active = Some(key);
-                }
-                if !bench.models.contains(&model) {
-                    bench.models.push(model.clone());
-                }
-                if !bench.states.contains_key(&model) {
-                    // The first stream that produces events builds the
-                    // reference; everything after verifies against it.
-                    let role = if bench
-                        .states
-                        .values()
-                        .any(|s| matches!(s.role, ModelRole::Builder))
-                    {
-                        ModelRole::Checker { cursor: 0 }
-                    } else {
-                        ModelRole::Builder
-                    };
-                    bench.states.insert(
-                        model.clone(),
-                        ModelState {
-                            rebuilder: TraceRebuilder::new(),
-                            role,
-                        },
-                    );
-                }
-                let state = bench.states.get_mut(&model).expect("just inserted");
-                let op = state
-                    .rebuilder
-                    .push(&record.event)
-                    .map_err(|e| format!("{source} [{model}]: {e}"))?;
-                if let Some(op) = op {
-                    match &mut state.role {
-                        ModelRole::Builder => bench.reference.ops.push(op),
-                        ModelRole::Checker { cursor } => {
-                            if bench.reference.ops.get(*cursor) != Some(&op) {
-                                return Err(format!(
-                                    "{source}: stream for {model:?} diverges from the \
-                                     benchmark's reference frontend trace at op {} — the \
-                                     export mixes runs (or interleaves streams out of \
-                                     export order)",
-                                    *cursor
-                                ));
-                            }
-                            *cursor += 1;
-                        }
-                    }
+                    *cursor += 1;
                 }
             }
         }
         Ok(())
+    }
+
+    /// Makes `(source, model)` the active stream, opening its model
+    /// state; returns the bench and state indexes.
+    fn switch_stream(&mut self, source: &str, model: &str) -> Result<(usize, usize), String> {
+        let b = bench_index(&mut self.benches, source);
+        let bench = &mut self.benches[b];
+        if bench.states.iter().any(|(m, _)| m == model) {
+            return Err(format!(
+                "{source}: stream for model {model:?} reappears after \
+                 another stream — the upload interleaves (source, model) \
+                 streams; lines must stay grouped per stream exactly as \
+                 the exporter writes them"
+            ));
+        }
+        if !bench.models.iter().any(|m| m == model) {
+            bench.models.push(model.to_string());
+        }
+        // The first stream that produces events builds the reference;
+        // everything after verifies against it.
+        let role = if bench.states.is_empty() {
+            ModelRole::Builder
+        } else {
+            ModelRole::Checker { cursor: 0 }
+        };
+        bench.states.push((
+            model.to_string(),
+            ModelState {
+                rebuilder: TraceRebuilder::new(),
+                role,
+            },
+        ));
+        let m = bench.states.len() - 1;
+        self.active = Some(ActiveStream {
+            source: source.to_string(),
+            model: model.to_string(),
+            bench: b,
+            state: m,
+        });
+        Ok((b, m))
     }
 
     /// Finishes ingestion: checks every verified stream covered the full
@@ -244,18 +278,18 @@ impl StreamIngest {
         model: Option<&str>,
         capacity: Option<u64>,
     ) -> Result<Vec<SimJobInput>, String> {
-        if self.order.is_empty() {
+        if self.benches.is_empty() {
             return Err("export contains no event streams".to_string());
         }
         let mut inputs = Vec::new();
-        for name in &self.order {
+        for b in &self.benches {
+            let name = &b.name;
             if bench.is_some_and(|want| want != name) {
                 continue;
             }
-            let b = &self.benches[name];
             let chosen = match model {
                 Some(label) => {
-                    if !b.states.contains_key(label) {
+                    if !b.states.iter().any(|(m, _)| m == label) {
                         return Err(format!(
                             "{name}: no stream for model {label:?}; available: {}",
                             b.models.join(", ")
@@ -265,7 +299,9 @@ impl StreamIngest {
                 }
                 None => b.models.first().expect("non-empty bench").clone(),
             };
-            for (m, state) in &b.states {
+            let mut states: Vec<&(String, ModelState)> = b.states.iter().collect();
+            states.sort_by(|x, y| x.0.cmp(&y.0));
+            for (m, state) in states {
                 if let ModelRole::Checker { cursor } = state.role {
                     if cursor != b.reference.ops.len() {
                         return Err(format!(
@@ -310,7 +346,7 @@ impl StreamIngest {
             );
             let cap = capacity.unwrap_or_else(|| (peak / 2).max(1));
             let phases = meta.map_or(1, |m| m.phases.max(1));
-            let trace = self.benches[name].reference.clone();
+            let trace = b.reference.clone();
             let log = trace_to_log(&trace, name.clone(), duration_us, peak);
             inputs.push(SimJobInput {
                 name: name.clone(),
@@ -324,7 +360,11 @@ impl StreamIngest {
             return Err(match bench {
                 Some(want) => format!(
                     "benchmark {want:?} not in export; available: {}",
-                    self.order.join(", ")
+                    self.benches
+                        .iter()
+                        .map(|b| b.name.as_str())
+                        .collect::<Vec<_>>()
+                        .join(", ")
                 ),
                 None => "no benchmarks selected".to_string(),
             });
@@ -333,16 +373,21 @@ impl StreamIngest {
     }
 }
 
-fn bench_entry<'a>(
-    order: &mut Vec<String>,
-    benches: &'a mut BTreeMap<String, BenchIngest>,
-    source: &str,
-) -> &'a mut BenchIngest {
-    if !benches.contains_key(source) {
-        order.push(source.to_string());
-        benches.insert(source.to_string(), BenchIngest::default());
-    }
-    benches.get_mut(source).expect("just inserted")
+/// The index of `source`'s bench, opened on first appearance.
+fn bench_index(benches: &mut Vec<BenchIngest>, source: &str) -> usize {
+    benches
+        .iter()
+        .position(|b| b.name == source)
+        .unwrap_or_else(|| {
+            benches.push(BenchIngest {
+                name: source.to_string(),
+                models: Vec::new(),
+                meta: BTreeMap::new(),
+                reference: SimTrace::default(),
+                states: Vec::new(),
+            });
+            benches.len() - 1
+        })
 }
 
 /// One benchmark ready to simulate: its recovered frontend trace plus

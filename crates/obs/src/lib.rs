@@ -73,7 +73,7 @@ pub use regret::{
     WorstEviction, TOP_REGRET,
 };
 pub use schema::{
-    parse_stream_line, RunMeta, StreamHeader, StreamLine, EVENTS_SCHEMA, EVENTS_VERSION,
+    decode_event_line, parse_stream_line, EventLine, RunMeta, StreamHeader, StreamLine, EVENTS_SCHEMA, EVENTS_VERSION,
     METRICS_SCHEMA, METRICS_VERSION,
 };
 pub use simstream::{reconstruct_trace, SimTrace, TraceOp, TraceRebuilder};

@@ -18,6 +18,10 @@
 //! rotated once to `FILE.1` (replacing any previous `FILE.1`) and
 //! logging continues in a fresh file; the default (0) never rotates.
 //! `--trace-capacity 0` turns span recording off entirely.
+//!
+//! `--depth LINES` bounds each connection's channel to its worker. A
+//! job upload keeps about `LINES × 128` bytes in flight, in 32 KiB
+//! chunks (at least one); a fetch download keeps up to `LINES` lines.
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -25,7 +29,8 @@ use std::time::Duration;
 
 use gencache_serve::{signal, LogLevel, Server, ServerConfig};
 
-const USAGE: &str = "use --addr HOST:PORT / --workers N / --queue N / --depth LINES / \
+const USAGE: &str = "use --addr HOST:PORT / --workers N / --queue N / \
+     --depth LINES (uploads in flight: LINES x 128 B in 32 KiB chunks) / \
      --read-timeout-ms N / --deadline-ms N / --log FILE|-|none / \
      --log-level debug|info|warn|error / --log-max-bytes N / --trace-capacity N";
 

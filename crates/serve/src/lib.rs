@@ -14,10 +14,10 @@
 //!
 //! Properties the implementation commits to:
 //!
-//! * **Bounded-memory ingestion.** Export lines flow socket → bounded
-//!   channel → incremental
+//! * **Bounded-memory ingestion.** Export lines flow socket → 32 KiB
+//!   chunks → bounded channel → incremental
 //!   [`StreamIngest`](gencache_bench::ingest::StreamIngest); peak
-//!   memory is O(channel depth + resident trace set), never
+//!   memory is O(channel depth × 128 B + resident trace set), never
 //!   O(stream length). A slow worker closes the TCP receive window —
 //!   backpressure reaches the client as flow control, not as daemon
 //!   RSS.

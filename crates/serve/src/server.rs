@@ -1,10 +1,11 @@
 //! The daemon: accept loop, per-connection protocol, and job execution.
 //!
 //! Memory discipline: a connection thread never holds more than one
-//! protocol line plus the bounded ingest channel's in-flight window.
-//! Export lines flow socket → bounded channel → [`StreamIngest`], which
-//! keeps only the reconstructed frontend traces — peak memory is
-//! O(channel depth + resident trace set), never O(stream length). When
+//! protocol line, one part-filled chunk, and the bounded ingest
+//! channel's in-flight window. Export lines flow socket → 32 KiB chunks
+//! → bounded channel → [`StreamIngest`], which keeps only the
+//! reconstructed frontend traces — peak memory is O(channel depth ×
+//! 128 B + resident trace set), never O(stream length). When
 //! the worker stalls, the channel fills, the connection thread blocks in
 //! `send`, the socket's receive window closes, and backpressure reaches
 //! the client as plain TCP flow control. Queue-level backpressure is
@@ -49,7 +50,10 @@ pub struct ServerConfig {
     pub workers: Option<usize>,
     /// Pending-job queue depth; `None` means twice the worker count.
     pub queue_depth: Option<usize>,
-    /// Bounded ingest/download channel depth, in lines.
+    /// Bounded channel depth, in lines. A fetch download holds up to
+    /// this many lines in flight; a job upload holds about
+    /// `channel_depth × 128 B`, handed to the worker in 32 KiB chunks
+    /// (at least one chunk).
     pub channel_depth: usize,
     /// Per-connection socket read timeout.
     pub read_timeout: Duration,
@@ -251,10 +255,19 @@ impl Server {
     }
 }
 
+/// Upload bytes batched into one [`IngestItem::Chunk`]. Each chunk is
+/// allocated at this size up front and filled without regrowing; only
+/// a longer line gets a chunk of its own length.
+const CHUNK_BYTES: usize = 32 * 1024;
+
+/// The upload bytes the channel window is sized for, per line of
+/// [`ServerConfig::channel_depth`].
+const LINE_BYTES: usize = 128;
+
 /// What flows from the connection thread to the ingesting worker.
 enum IngestItem {
-    /// One raw export line.
-    Line(String),
+    /// Whole export lines, each terminated by `\n`.
+    Chunk(String),
     /// The client's `end` frame: claimed line count for integrity.
     End {
         lines: u64,
@@ -568,7 +581,8 @@ fn handle_job(
     };
     let deadline_ms = spec.deadline_ms.unwrap_or(ctx.default_deadline_ms);
     let deadline = (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms));
-    let (lines_tx, lines_rx) = bounded::<IngestItem>(ctx.channel_depth);
+    let chunks = (ctx.channel_depth.saturating_mul(LINE_BYTES) / CHUNK_BYTES).max(1);
+    let (lines_tx, lines_rx) = bounded::<IngestItem>(chunks);
     let (reply_tx, mut reply_rx) = bounded::<JobOutcome>(1);
     // The deadline clock starts at admission, not at worker pickup —
     // time spent queued behind the bounded pool counts against the
@@ -624,43 +638,53 @@ fn handle_job(
         ],
     );
 
-    // Forward the upload line by line; the bounded send blocks when the
-    // worker falls behind, which is exactly the backpressure we want.
+    // Forward the upload in chunks of whole lines; the bounded send
+    // blocks when the worker falls behind, which is exactly the
+    // backpressure we want. The part-filled chunk goes out ahead of
+    // the closing item, so the worker sees every line in order.
     let mut buf = String::new();
-    loop {
+    let mut chunk = String::with_capacity(CHUNK_BYTES);
+    let last = loop {
         buf.clear();
         match reader.read_line(&mut buf) {
             Ok(0) => {
-                let _ = lines_tx.send(IngestItem::Abort(
+                break Some(IngestItem::Abort(
                     "connection closed mid-upload".to_string(),
-                ));
-                break;
+                ))
             }
-            Err(e) => {
-                let _ = lines_tx.send(IngestItem::Abort(format!("upload read failed: {e}")));
-                break;
-            }
+            Err(e) => break Some(IngestItem::Abort(format!("upload read failed: {e}"))),
             Ok(n) => {
                 ServerStats::add(&ctx.stats.bytes_ingested, n as u64);
                 let line = buf.trim_end_matches(['\r', '\n']);
                 if is_control_line(line) {
-                    let item = match parse_request(line) {
+                    break Some(match parse_request(line) {
                         Ok(Request::End { lines }) => IngestItem::End { lines },
                         Ok(_) => IngestItem::Abort(
                             "unexpected control frame inside an export upload".to_string(),
                         ),
                         Err(e) => IngestItem::Abort(e),
-                    };
-                    let _ = lines_tx.send(item);
-                    break;
+                    });
                 }
-                if lines_tx.send(IngestItem::Line(line.to_string())).is_err() {
-                    // The worker already gave up (deadline, malformed
-                    // stream); its reply is waiting for us.
-                    break;
+                let need = line.len() + 1;
+                if chunk.len() + need > chunk.capacity() {
+                    let full =
+                        std::mem::replace(&mut chunk, String::with_capacity(CHUNK_BYTES.max(need)));
+                    if !full.is_empty() && lines_tx.send(IngestItem::Chunk(full)).is_err() {
+                        // The worker already gave up (deadline,
+                        // malformed stream); its reply is waiting.
+                        break None;
+                    }
                 }
+                chunk.push_str(line);
+                chunk.push('\n');
             }
         }
+    };
+    if let Some(last) = last {
+        if !chunk.is_empty() {
+            let _ = lines_tx.send(IngestItem::Chunk(chunk));
+        }
+        let _ = lines_tx.send(last);
     }
     drop(lines_tx);
 
@@ -776,10 +800,12 @@ fn run_job(
             );
         }
         match item {
-            IngestItem::Line(line) => {
-                received += 1;
-                if let Err(e) = ingest.push_line(&line) {
-                    return fail_stage("ingest", ingest_started, e);
+            IngestItem::Chunk(chunk) => {
+                for line in chunk.split_terminator('\n') {
+                    received += 1;
+                    if let Err(e) = ingest.push_line(line) {
+                        return fail_stage("ingest", ingest_started, e);
+                    }
                 }
             }
             IngestItem::End { lines } => {

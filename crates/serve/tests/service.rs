@@ -108,6 +108,24 @@ impl Drop for TestServer {
     }
 }
 
+/// Writes `frames` as lines on a fresh connection, optionally closes
+/// the write side, and returns the daemon's first reply line.
+fn raw_upload(addr: &str, frames: &[&str], cut: bool) -> String {
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    for frame in frames {
+        writer.write_all(frame.as_bytes()).unwrap();
+        writer.write_all(b"\n").unwrap();
+    }
+    if cut {
+        stream.shutdown(Shutdown::Write).unwrap();
+    }
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    line
+}
+
 fn counter(doc: &str, name: &str) -> u64 {
     // The stats document is flat JSON with unsigned counters; a
     // substring scan keeps the test free of a parser dependency.
@@ -242,21 +260,7 @@ fn malformed_and_truncated_uploads_fail_cleanly_and_daemon_survives() {
         ..ServerConfig::default()
     });
 
-    let raw = |frames: &[&str], cut: bool| -> String {
-        let stream = TcpStream::connect(&server.addr).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        for frame in frames {
-            writer.write_all(frame.as_bytes()).unwrap();
-            writer.write_all(b"\n").unwrap();
-        }
-        if cut {
-            stream.shutdown(Shutdown::Write).unwrap();
-        }
-        let mut reader = BufReader::new(stream);
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        line
-    };
+    let raw = |frames: &[&str], cut: bool| raw_upload(&server.addr, frames, cut);
 
     // A line that is neither a control frame nor valid export JSON.
     let job = "{\"type\":\"job\"}";
@@ -298,6 +302,103 @@ fn malformed_and_truncated_uploads_fail_cleanly_and_daemon_survives() {
         }
         other => panic!("expected result, got {other:?}"),
     }
+}
+
+/// The daemon batches upload lines into chunks of this many bytes.
+const CHUNK_BYTES: usize = 32 * 1024;
+
+#[test]
+fn one_chunk_channel_still_matches_offline_simulate() {
+    let export = export();
+    assert!(
+        export.len() > 4 * CHUNK_BYTES,
+        "export fits in a few chunks"
+    );
+    let server = TestServer::start(ServerConfig {
+        channel_depth: 1,
+        ..ServerConfig::default()
+    });
+    match server
+        .client()
+        .submit(export.as_bytes(), &JobSpec::default())
+    {
+        Ok(Reply::Result { doc, .. }) => assert_eq!(doc, offline_doc(export, &[], false, false)),
+        other => panic!("expected result, got {other:?}"),
+    }
+}
+
+#[test]
+fn chunked_uploads_keep_the_per_line_checks() {
+    let export = export();
+    let server = TestServer::start(ServerConfig::default());
+    let job = "{\"type\":\"job\"}";
+    let lines: Vec<&str> = export.lines().collect();
+
+    // An end frame off by one on an upload of many chunks.
+    let end = format!("{{\"type\":\"end\",\"lines\":{}}}", lines.len() - 1);
+    let mut frames = vec![job];
+    frames.extend(&lines);
+    frames.push(&end);
+    let reply = raw_upload(&server.addr, &frames, true);
+    assert!(
+        reply.contains(&format!(
+            "upload truncated: client sent {} export lines, received {}",
+            lines.len() - 1,
+            lines.len()
+        )),
+        "got {reply}"
+    );
+
+    // A connection closed with a chunk part-filled: about one and a
+    // half chunks of lines, then EOF.
+    let mut bytes = 0;
+    let cut = lines
+        .iter()
+        .take_while(|l| {
+            bytes += l.len() + 1;
+            bytes < CHUNK_BYTES * 3 / 2
+        })
+        .count();
+    let mut frames = vec![job];
+    frames.extend(&lines[..cut]);
+    let reply = raw_upload(&server.addr, &frames, true);
+    assert!(
+        reply.contains("connection closed mid-upload"),
+        "got {reply}"
+    );
+
+    // Blank lines inside a chunk count toward the end total, exactly as
+    // the client counts them.
+    let mut padded = String::new();
+    let mut blanks = 0;
+    for (i, line) in lines.iter().enumerate() {
+        padded.push_str(line);
+        padded.push('\n');
+        if i % 50 == 7 {
+            padded.push_str("\n\r\n");
+            blanks += 2;
+        }
+    }
+    match server
+        .client()
+        .submit(padded.as_bytes(), &JobSpec::default())
+    {
+        Ok(Reply::Result { doc, .. }) => assert_eq!(doc, offline_doc(export, &[], false, false)),
+        other => panic!("expected result, got {other:?}"),
+    }
+    let end = format!("{{\"type\":\"end\",\"lines\":{}}}", lines.len());
+    let mut frames = vec![job];
+    frames.extend(padded.lines());
+    frames.push(&end);
+    let reply = raw_upload(&server.addr, &frames, true);
+    assert!(
+        reply.contains(&format!(
+            "upload truncated: client sent {} export lines, received {}",
+            lines.len(),
+            lines.len() + blanks
+        )),
+        "got {reply}"
+    );
 }
 
 #[test]

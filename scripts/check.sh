@@ -22,6 +22,8 @@ events="target/tmp/check-events.jsonl"
 live_metrics="target/tmp/check-metrics-live.json"
 sim_metrics="target/tmp/check-metrics-sim.json"
 baseline="target/tmp/check-baseline.json"
+spaced_events="target/tmp/check-events-spaced.jsonl"
+spaced_metrics="target/tmp/check-metrics-spaced.json"
 regret_metrics="target/tmp/check-metrics-regret.json"
 win_metrics="target/tmp/check-metrics-windows.json"
 fused_jobs1="target/tmp/check-metrics-fused-jobs1.json"
@@ -46,6 +48,7 @@ cleanup() {
     [ -n "$pid" ] && kill "$pid" 2>/dev/null
   done
   rm -f "$events" "$live_metrics" "$sim_metrics" "$baseline" "$regret_metrics" \
+    "$spaced_events" "$spaced_metrics" \
     "$win_metrics" "$fused_jobs1" "$fused_jobs2" "$adaptive_events" \
     "$serve_metrics" "$serve_log" "$serve_events_log" \
     "$fleet_events" "$fleet_second" "$fleet_sim" "$fleet_served" \
@@ -84,6 +87,15 @@ cmp "$live_metrics" "$sim_metrics" \
   || { echo "simulated metrics doc differs from the live export"; exit 1; }
 ./target/release/simulate --events "$events" --watch "$baseline" > /dev/null \
   || { echo "simulate --watch failed against a fresh baseline"; exit 1; }
+
+echo "=== fallback decode smoke: off-grammar lines give the same doc"
+# A space after every key's colon takes each line off the exporter's
+# exact shape, so all of them go through the general JSON parser.
+sed 's/":/": /g' "$events" > "$spaced_events"
+./target/release/simulate --events "$spaced_events" \
+  --metrics-out "$spaced_metrics" > /dev/null
+cmp "$sim_metrics" "$spaced_metrics" \
+  || { echo "general-parser metrics doc differs from the typed-decoder one"; exit 1; }
 
 echo "=== windows smoke: drift-annotated window series rides the metrics doc"
 ./target/release/simulate --events "$events" --windows \
