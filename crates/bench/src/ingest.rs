@@ -23,6 +23,7 @@
 //! metrics documents through [`metrics_doc`], so a served reply is
 //! byte-identical to `simulate --metrics-out` on the same export.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader};
@@ -35,15 +36,18 @@ use gencache_obs::{
     METRICS_VERSION, TOP_REGRET,
 };
 use gencache_core::SwitchReport;
-use gencache_sim::par::par_map;
+use gencache_sim::par::{effective_jobs, par_map};
 use gencache_sim::report::TextTable;
 use gencache_sim::{
     parse_spec, policy_grid, proportion_grid, replay_sim_observed, trace_to_log, AccessLog,
     ModelSpec, SimSpec, SimulatedSpec,
 };
 use serde::{Deserialize, Value};
+use serde_json::Canonical;
 
-use crate::{export_specs, metrics_doc, sample_interval, SpecReports};
+use crate::{
+    export_specs, metrics_doc, metrics_doc_text, sample_interval, suite_section, SpecReports,
+};
 
 /// Opens `path` for line reading, with `-` meaning stdin — so exports
 /// can be piped (`gencache-client fetch … | simulate --events -`)
@@ -768,42 +772,201 @@ fn doc_field<'a>(doc: &'a Value, key: &str) -> Option<&'a Value> {
         .map(|(_, v)| v)
 }
 
-/// Merges per-shard metrics documents back into the single document the
-/// whole job would have produced on one node.
+/// One shard's metrics document, split for the merge: the header
+/// fields it is checked by, and the text of each `benchmarks` element.
+/// A field is `None` when the document lacks it (or has the wrong
+/// kind of value there).
+struct ShardDoc<'a> {
+    schema: Option<Value>,
+    version: Option<Value>,
+    labels: Option<Vec<String>>,
+    benches: Option<Vec<Cow<'a, str>>>,
+}
+
+impl<'a> ShardDoc<'a> {
+    /// Splits a document in the exact shape and canonical form
+    /// [`metrics_doc_text`] writes, without building its tree; the
+    /// elements borrow `text`. `None` for anything else.
+    fn split(text: &'a str) -> Option<ShardDoc<'a>> {
+        let mut c = Canonical::new(text);
+        c.lit("{\"schema\":")?;
+        let schema = serde_json::value_from_str(c.value()?).ok()?;
+        c.lit(",\"version\":")?;
+        let version = serde_json::value_from_str(c.value()?).ok()?;
+        c.lit(",\"suite\":")?;
+        let mut labels = Vec::new();
+        c.object(|c, label| {
+            labels.push(label.into_owned());
+            c.value().map(drop)
+        })?;
+        c.lit(",\"benchmarks\":")?;
+        let mut benches = Vec::new();
+        c.array(|c| {
+            benches.push(Cow::Borrowed(c.value()?));
+            Some(())
+        })?;
+        c.lit("}")?;
+        c.at_end().then_some(ShardDoc {
+            schema: Some(schema),
+            version: Some(version),
+            labels: Some(labels),
+            benches: Some(benches),
+        })
+    }
+
+    /// Splits a parsed document, rendering each element: the general
+    /// path for text [`split`](ShardDoc::split) declines.
+    fn from_tree(doc: &Value) -> ShardDoc<'static> {
+        ShardDoc {
+            schema: doc_field(doc, "schema").cloned(),
+            version: doc_field(doc, "version").cloned(),
+            labels: doc_field(doc, "suite")
+                .and_then(Value::as_object)
+                .map(|suite| suite.iter().map(|(k, _)| k.clone()).collect()),
+            benches: doc_field(doc, "benchmarks")
+                .and_then(Value::as_array)
+                .map(|benches| {
+                    benches
+                        .iter()
+                        .map(|b| Cow::Owned(crate::value_to_json(b)))
+                        .collect()
+                }),
+        }
+    }
+}
+
+/// Types one `benchmarks` element into its benchmark name and one
+/// report row per label.
+fn bench_reports(bench: &str, labels: &[String]) -> Result<(String, Vec<SpecReports>), String> {
+    let bench = serde_json::value_from_str(bench)
+        .map_err(|e| format!("shard doc has an unparseable benchmark entry: {e}"))?;
+    let name = match doc_field(&bench, "benchmark") {
+        Some(Value::Str(name)) => name.clone(),
+        other => return Err(format!("benchmark entry names {other:?}")),
+    };
+    let mut reports: Vec<SpecReports> = Vec::with_capacity(labels.len());
+    for label in labels {
+        let section = doc_field(&bench, label)
+            .ok_or_else(|| format!("{name}: no section for spec {label:?}"))?;
+        if doc_field(section, "sampled").is_some() {
+            return Err(format!(
+                "{name}/{label}: sampled sections cannot be fleet-merged"
+            ));
+        }
+        let metrics = doc_field(section, "metrics")
+            .ok_or_else(|| format!("{name}/{label}: no metrics"))
+            .and_then(|v| {
+                MetricsReport::from_value(v)
+                    .map_err(|e| format!("{name}/{label}: bad metrics: {e}"))
+            })?;
+        let costs = doc_field(section, "costs")
+            .ok_or_else(|| format!("{name}/{label}: no costs"))
+            .and_then(|v| {
+                CostReport::from_value(v).map_err(|e| format!("{name}/{label}: bad costs: {e}"))
+            })?;
+        let regret = match doc_field(section, "regret") {
+            Some(v) => Some(
+                RegretReport::from_value(v)
+                    .map_err(|e| format!("{name}/{label}: bad regret: {e}"))?,
+            ),
+            None => None,
+        };
+        let windows = match doc_field(section, "windows") {
+            Some(v) => Some(
+                WindowReport::from_value(v)
+                    .map_err(|e| format!("{name}/{label}: bad windows: {e}"))?,
+            ),
+            None => None,
+        };
+        let switches = match doc_field(section, "switches") {
+            Some(v) => Some(
+                SwitchReport::from_value(v)
+                    .map_err(|e| format!("{name}/{label}: bad switches: {e}"))?,
+            ),
+            None => None,
+        };
+        reports.push((metrics, costs, None, regret, windows, switches));
+    }
+    Ok((name, reports))
+}
+
+/// Merges per-shard metrics documents, given as text, back into the
+/// text of the single document the whole job would have produced on
+/// one node.
 ///
-/// Every `(benchmark, label)` section is deserialized into its typed
-/// report and the document is reassembled with [`metrics_doc`] with the
-/// benchmarks in `order` (the upload's first-appearance order) — the
-/// exact assembly single-node `simulate` performs. The vendored JSON
-/// layer round-trips every number exactly (shortest-roundtrip floats,
-/// native integers), so the merged document is **byte-identical** to
-/// the single-node one.
+/// A `benchmarks` element depends only on its own benchmark, so each
+/// shard's element text is already the single-node text: the elements
+/// are spliced verbatim in `order` (the upload's first-appearance
+/// order). Only the `suite` section changes — its float sums and
+/// timeline concatenation depend on the benchmark order — so every
+/// element is parsed into its typed reports, the suite is folded in
+/// `order` exactly as [`metrics_doc`] folds it, and only the suite is
+/// rendered. The result is **byte-identical** to the single-node
+/// document.
+///
+/// Shard documents in the canonical form the shards write are split
+/// without building their trees; any other document is parsed and its
+/// elements re-rendered, so it merges exactly as a tree would.
 ///
 /// # Errors
 ///
-/// Returns a description when a document has the wrong schema, the
-/// shards disagree on spec labels, a benchmark is missing, duplicated,
-/// or unknown to `order`, or a section fails to deserialize.
-pub fn merge_metrics_docs(order: &[String], docs: &[Value]) -> Result<Value, String> {
-    let mut labels: Option<Vec<String>> = None;
-    let mut sections: BTreeMap<String, Vec<SpecReports>> = BTreeMap::new();
+/// Returns a description when a document does not parse, has the wrong
+/// schema, the shards disagree on spec labels, a benchmark is missing,
+/// duplicated, or unknown to `order`, or a section fails to
+/// deserialize or is a `sampled` section.
+pub fn merge_metrics_texts<S: AsRef<str>>(order: &[String], docs: &[S]) -> Result<String, String> {
+    let mut split = Vec::with_capacity(docs.len());
     for doc in docs {
-        match doc_field(doc, "schema") {
+        let doc = doc.as_ref();
+        split.push(match ShardDoc::split(doc) {
+            Some(parts) => parts,
+            None => ShardDoc::from_tree(
+                &serde_json::value_from_str(doc)
+                    .map_err(|e| format!("shard returned an unparseable doc: {e}"))?,
+            ),
+        });
+    }
+    merge_shard_docs(order, split)
+}
+
+/// The merge behind [`merge_metrics_texts`] and [`merge_metrics_docs`]:
+/// checks the split documents and assembles the merged text.
+fn merge_shard_docs(order: &[String], docs: Vec<ShardDoc<'_>>) -> Result<String, String> {
+    // Typing the entries is most of the merge's work and each entry is
+    // independent, so they are typed up front across workers, each
+    // against its own document's labels. The loop below still meets
+    // every error in document order.
+    let entries: Vec<(&str, &[String])> = docs
+        .iter()
+        .filter_map(|doc| Some((doc.benches.as_ref()?, doc.labels.as_ref()?)))
+        .flat_map(|(benches, labels)| benches.iter().map(move |b| (b.as_ref(), labels.as_slice())))
+        .collect();
+    let mut typed = par_map(&entries, effective_jobs(None), |(bench, labels)| {
+        bench_reports(bench, labels)
+    })
+    .into_iter();
+    let mut labels: Option<Vec<String>> = None;
+    let mut sections: BTreeMap<String, (Vec<SpecReports>, Cow<'_, str>)> = BTreeMap::new();
+    for doc in docs {
+        match &doc.schema {
             Some(Value::Str(s)) if s == METRICS_SCHEMA => {}
-            other => return Err(format!("shard doc has schema {other:?}, not {METRICS_SCHEMA:?}")),
-        }
-        match doc_field(doc, "version") {
-            Some(Value::UInt(v)) if *v == u64::from(METRICS_VERSION) => {}
             other => {
                 return Err(format!(
-                    "shard doc has version {other:?}, not {METRICS_VERSION}"
+                    "shard doc has schema {:?}, not {METRICS_SCHEMA:?}",
+                    other.as_ref()
                 ))
             }
         }
-        let suite = doc_field(doc, "suite")
-            .and_then(Value::as_object)
-            .ok_or("shard doc has no suite section")?;
-        let doc_labels: Vec<String> = suite.iter().map(|(k, _)| k.clone()).collect();
+        match &doc.version {
+            Some(Value::UInt(v)) if *v == u64::from(METRICS_VERSION) => {}
+            other => {
+                return Err(format!(
+                    "shard doc has version {:?}, not {METRICS_VERSION}",
+                    other.as_ref()
+                ))
+            }
+        }
+        let doc_labels = doc.labels.ok_or("shard doc has no suite section")?;
         match &labels {
             None => labels = Some(doc_labels),
             Some(first) if *first == doc_labels => {}
@@ -813,76 +976,45 @@ pub fn merge_metrics_docs(order: &[String], docs: &[Value]) -> Result<Value, Str
                 ))
             }
         }
-        let labels = labels.as_ref().expect("just set");
-        let benches = doc_field(doc, "benchmarks")
-            .and_then(Value::as_array)
-            .ok_or("shard doc has no benchmarks section")?;
+        let benches = doc.benches.ok_or("shard doc has no benchmarks section")?;
         for bench in benches {
-            let name = match doc_field(bench, "benchmark") {
-                Some(Value::Str(name)) => name.clone(),
-                other => return Err(format!("benchmark entry names {other:?}")),
-            };
-            let mut reports: Vec<SpecReports> = Vec::with_capacity(labels.len());
-            for label in labels {
-                let section = doc_field(bench, label)
-                    .ok_or_else(|| format!("{name}: no section for spec {label:?}"))?;
-                if doc_field(section, "sampled").is_some() {
-                    return Err(format!(
-                        "{name}/{label}: sampled sections cannot be fleet-merged"
-                    ));
-                }
-                let metrics = doc_field(section, "metrics")
-                    .ok_or_else(|| format!("{name}/{label}: no metrics"))
-                    .and_then(|v| {
-                        MetricsReport::from_value(v)
-                            .map_err(|e| format!("{name}/{label}: bad metrics: {e}"))
-                    })?;
-                let costs = doc_field(section, "costs")
-                    .ok_or_else(|| format!("{name}/{label}: no costs"))
-                    .and_then(|v| {
-                        CostReport::from_value(v)
-                            .map_err(|e| format!("{name}/{label}: bad costs: {e}"))
-                    })?;
-                let regret = match doc_field(section, "regret") {
-                    Some(v) => Some(
-                        RegretReport::from_value(v)
-                            .map_err(|e| format!("{name}/{label}: bad regret: {e}"))?,
-                    ),
-                    None => None,
-                };
-                let windows = match doc_field(section, "windows") {
-                    Some(v) => Some(
-                        WindowReport::from_value(v)
-                            .map_err(|e| format!("{name}/{label}: bad windows: {e}"))?,
-                    ),
-                    None => None,
-                };
-                let switches = match doc_field(section, "switches") {
-                    Some(v) => Some(
-                        SwitchReport::from_value(v)
-                            .map_err(|e| format!("{name}/{label}: bad switches: {e}"))?,
-                    ),
-                    None => None,
-                };
-                reports.push((metrics, costs, None, regret, windows, switches));
-            }
-            if sections.insert(name.clone(), reports).is_some() {
-                return Err(format!("benchmark {name:?} appears in more than one shard doc"));
+            let (name, reports) = typed.next().expect("one typed result per entry")?;
+            if sections.insert(name.clone(), (reports, bench)).is_some() {
+                return Err(format!(
+                    "benchmark {name:?} appears in more than one shard doc"
+                ));
             }
         }
     }
     let labels = labels.ok_or("no shard documents to merge")?;
-    let mut benchmarks: Vec<(String, Vec<SpecReports>)> = Vec::with_capacity(order.len());
+    let mut benchmarks = Vec::with_capacity(order.len());
     for name in order {
-        let reports = sections
-            .remove(name)
-            .ok_or_else(|| format!("no shard produced benchmark {name:?}"))?;
-        benchmarks.push((name.clone(), reports));
+        benchmarks.push(
+            sections
+                .remove(name)
+                .ok_or_else(|| format!("no shard produced benchmark {name:?}"))?,
+        );
     }
     if let Some(extra) = sections.keys().next() {
         return Err(format!("shard docs contain unexpected benchmark {extra:?}"));
     }
-    Ok(metrics_doc(&labels, &benchmarks))
+    let suite = suite_section(
+        &labels,
+        benchmarks.iter().map(|(reports, _)| reports.as_slice()),
+    );
+    let texts: Vec<&str> = benchmarks.iter().map(|(_, text)| text.as_ref()).collect();
+    Ok(metrics_doc_text(&suite, &texts))
+}
+
+/// Merges per-shard metrics documents given as trees: the
+/// [`merge_metrics_texts`] merge, returning the merged tree.
+///
+/// # Errors
+///
+/// As [`merge_metrics_texts`].
+pub fn merge_metrics_docs(order: &[String], docs: &[Value]) -> Result<Value, String> {
+    let merged = merge_shard_docs(order, docs.iter().map(ShardDoc::from_tree).collect())?;
+    serde_json::value_from_str(&merged).map_err(|e| format!("merged doc does not parse: {e}"))
 }
 
 /// Merges per-shard result tables (the human-readable rendering) back
@@ -1068,6 +1200,275 @@ mod tests {
     }
 
     #[test]
+    fn fleet_merge_splices_optional_sections_in_upload_order() {
+        let text = suite_export(3);
+        let mut ingest = StreamIngest::new();
+        for line in text.lines() {
+            ingest.push_line(line).unwrap();
+        }
+        let mut inputs = ingest.into_inputs(None, None, None).unwrap();
+        assert_eq!(inputs.len(), 3);
+        let order: Vec<String> = inputs.iter().map(|i| i.name.clone()).collect();
+        let specs = resolve_sim_specs(&["adaptive".to_string(), "lru".to_string()], false).unwrap();
+        let options = SimJobOptions {
+            oracle: true,
+            windows: true,
+            window_width: Some(32),
+            regret_top: Some(8),
+        };
+        let whole = run_sim_job(&inputs, &specs, options, 1, None).unwrap();
+        let whole_doc = crate::value_to_json(&sim_metrics_doc(&whole));
+        for section in ["\"regret\"", "\"windows\"", "\"switches\""] {
+            assert!(
+                whole_doc.contains(section),
+                "single-node doc has no {section} section"
+            );
+        }
+        // A 3-way split, one benchmark per shard, whose documents arrive
+        // in an order other than the upload's.
+        let third = inputs.split_off(2);
+        let second = inputs.split_off(1);
+        let shard_doc = |part: &[SimJobInput]| {
+            crate::value_to_json(&sim_metrics_doc(
+                &run_sim_job(part, &specs, options, 1, None).unwrap(),
+            ))
+        };
+        let docs = [shard_doc(&third), shard_doc(&inputs), shard_doc(&second)];
+        assert_eq!(
+            merge_metrics_texts(&order, &docs).unwrap(),
+            whole_doc,
+            "text-merged doc is not byte-identical"
+        );
+        // Off-shape shard text (here: whitespace) takes the general path
+        // to the same bytes, and so do the trees.
+        let spaced: Vec<String> = docs.iter().map(|d| format!(" {d}\n")).collect();
+        assert_eq!(merge_metrics_texts(&order, &spaced).unwrap(), whole_doc);
+        let trees: Vec<Value> = docs
+            .iter()
+            .map(|d| serde_json::value_from_str(d).unwrap())
+            .collect();
+        assert_eq!(
+            crate::value_to_json(&merge_metrics_docs(&order, &trees).unwrap()),
+            whole_doc
+        );
+    }
+
+    /// A deterministic single-benchmark input: `traces` traces of 100
+    /// bytes cycled through a cache that holds half of them.
+    fn synthetic_input(name: &str, traces: u64) -> SimJobInput {
+        use gencache_cache::TraceId;
+        use gencache_obs::TraceOp;
+        use gencache_program::Time;
+
+        let mut ops = vec![];
+        for id in 0..traces {
+            ops.push(TraceOp::Create {
+                id: TraceId::new(id),
+                bytes: 100,
+                time: Time::from_micros(id),
+            });
+        }
+        for round in 0..20u64 {
+            for id in 0..traces {
+                ops.push(TraceOp::Access {
+                    id: TraceId::new((id + round) % traces),
+                    time: Time::from_micros(100 + round * traces + id),
+                });
+            }
+        }
+        let trace = SimTrace { ops };
+        SimJobInput {
+            name: name.to_string(),
+            log: trace_to_log(&trace, name, 1_000_000, traces * 100),
+            trace,
+            capacity: traces * 50,
+            phases: 4,
+        }
+    }
+
+    fn members(v: &mut Value) -> &mut Vec<(String, Value)> {
+        match v {
+            Value::Object(pairs) => pairs,
+            other => panic!("not an object: {other:?}"),
+        }
+    }
+
+    fn member<'v>(v: &'v mut Value, key: &str) -> &'v mut Value {
+        &mut members(v)
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .expect("member exists")
+            .1
+    }
+
+    fn first_bench(doc: &mut Value) -> &mut Value {
+        match member(doc, "benchmarks") {
+            Value::Array(items) => &mut items[0],
+            other => panic!("not an array: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fleet_merge_errors_are_unchanged() {
+        let specs = resolve_sim_specs(&["lru".to_string(), "unified".to_string()], false).unwrap();
+        let options = SimJobOptions::default();
+        let doc_for = |name: &str| {
+            let out = run_sim_job(&[synthetic_input(name, 12)], &specs, options, 1, None).unwrap();
+            serde_json::value_from_str(&crate::value_to_json(&sim_metrics_doc(&out))).unwrap()
+        };
+        let (a, b) = (doc_for("a"), doc_for("b"));
+        let order = ["a".to_string(), "b".to_string()];
+        let edited = |doc: &Value, edit: &dyn Fn(&mut Value)| {
+            let mut doc = doc.clone();
+            edit(&mut doc);
+            doc
+        };
+        let cases: Vec<(Vec<Value>, &[String], &str)> = vec![
+            (
+                vec![
+                    edited(&a, &|d| *member(d, "schema") = Value::Str("other".into())),
+                    b.clone(),
+                ],
+                &order,
+                "shard doc has schema Some(Str(\"other\")), not \"gencache-metrics\"",
+            ),
+            (
+                vec![edited(&a, &|d| members(d).retain(|(k, _)| k != "schema"))],
+                &order,
+                "shard doc has schema None, not \"gencache-metrics\"",
+            ),
+            (
+                vec![
+                    a.clone(),
+                    edited(&b, &|d| *member(d, "version") = Value::UInt(1)),
+                ],
+                &order,
+                "shard doc has version Some(UInt(1)), not 2",
+            ),
+            (
+                vec![edited(&a, &|d| *member(d, "suite") = Value::Array(vec![]))],
+                &order,
+                "shard doc has no suite section",
+            ),
+            (
+                vec![
+                    a.clone(),
+                    edited(&b, &|d| members(member(d, "suite")).truncate(1)),
+                ],
+                &order,
+                "shards disagree on spec labels: [\"lru\", \"unified\"] vs [\"lru\"]",
+            ),
+            (
+                vec![edited(&a, &|d| {
+                    members(d).retain(|(k, _)| k != "benchmarks")
+                })],
+                &order,
+                "shard doc has no benchmarks section",
+            ),
+            (
+                vec![edited(&a, &|d| {
+                    *member(first_bench(d), "benchmark") = Value::UInt(5)
+                })],
+                &order,
+                "benchmark entry names Some(UInt(5))",
+            ),
+            (
+                vec![edited(&a, &|d| members(first_bench(d)).truncate(2))],
+                &order,
+                "a: no section for spec \"unified\"",
+            ),
+            (
+                vec![edited(&a, &|d| {
+                    members(member(first_bench(d), "lru")).push(("sampled".into(), Value::Null))
+                })],
+                &order,
+                "a/lru: sampled sections cannot be fleet-merged",
+            ),
+            (
+                vec![edited(&a, &|d| {
+                    members(member(first_bench(d), "lru")).retain(|(k, _)| k != "metrics")
+                })],
+                &order,
+                "a/lru: no metrics",
+            ),
+            (
+                vec![edited(&a, &|d| {
+                    members(member(first_bench(d), "lru")).retain(|(k, _)| k != "costs")
+                })],
+                &order,
+                "a/lru: no costs",
+            ),
+            (
+                vec![edited(&a, &|d| {
+                    *member(member(first_bench(d), "lru"), "metrics") = Value::UInt(5)
+                })],
+                &order,
+                "a/lru: bad metrics: expected object for MetricsReport, got UInt(5)",
+            ),
+            (
+                vec![edited(&a, &|d| {
+                    *member(member(first_bench(d), "unified"), "costs") = Value::Null
+                })],
+                &order,
+                "a/unified: bad costs: expected object for CostReport, got Null",
+            ),
+            (
+                vec![edited(&a, &|d| {
+                    members(member(first_bench(d), "lru"))
+                        .push(("regret".into(), Value::Bool(true)))
+                })],
+                &order,
+                "a/lru: bad regret: expected object for RegretReport, got Bool(true)",
+            ),
+            (
+                vec![edited(&a, &|d| {
+                    members(member(first_bench(d), "lru")).push(("windows".into(), Value::UInt(0)))
+                })],
+                &order,
+                "a/lru: bad windows: expected object for WindowReport, got UInt(0)",
+            ),
+            (
+                vec![edited(&a, &|d| {
+                    members(member(first_bench(d), "lru"))
+                        .push(("switches".into(), Value::Array(vec![])))
+                })],
+                &order,
+                "a/lru: bad switches: expected object for SwitchReport, got Array([])",
+            ),
+            (
+                vec![a.clone(), a.clone()],
+                &order,
+                "benchmark \"a\" appears in more than one shard doc",
+            ),
+            (vec![], &order, "no shard documents to merge"),
+            (vec![a.clone()], &order, "no shard produced benchmark \"b\""),
+            (
+                vec![a.clone(), b.clone()],
+                &order[..1],
+                "shard docs contain unexpected benchmark \"b\"",
+            ),
+        ];
+        for (docs, order, want) in cases {
+            let texts: Vec<String> = docs.iter().map(crate::value_to_json).collect();
+            assert_eq!(merge_metrics_texts(order, &texts).unwrap_err(), want);
+            assert_eq!(merge_metrics_docs(order, &docs).unwrap_err(), want);
+        }
+        let texts = [crate::value_to_json(&a), "{\"schema\":".to_string()];
+        assert_eq!(
+            merge_metrics_texts(&order, &texts).unwrap_err(),
+            "shard returned an unparseable doc: unexpected byte None at 10"
+        );
+        // The unbroken pair merges to the single-node bytes.
+        let both = [synthetic_input("a", 12), synthetic_input("b", 12)];
+        let whole = run_sim_job(&both, &specs, options, 1, None).unwrap();
+        let texts = [crate::value_to_json(&b), crate::value_to_json(&a)];
+        assert_eq!(
+            merge_metrics_texts(&order, &texts).unwrap(),
+            crate::value_to_json(&sim_metrics_doc(&whole))
+        );
+    }
+
+    #[test]
     fn adaptive_doc_is_jobs_invariant() {
         let text = suite_export(2);
         let mut ingest = StreamIngest::new();
@@ -1104,34 +1505,7 @@ mod tests {
 
     #[test]
     fn grid_is_jobs_invariant() {
-        use gencache_cache::TraceId;
-        use gencache_obs::TraceOp;
-        use gencache_program::Time;
-
-        let mut ops = vec![];
-        for id in 0..12u64 {
-            ops.push(TraceOp::Create {
-                id: TraceId::new(id),
-                bytes: 100,
-                time: Time::from_micros(id),
-            });
-        }
-        for round in 0..20u64 {
-            for id in 0..12u64 {
-                ops.push(TraceOp::Access {
-                    id: TraceId::new((id + round) % 12),
-                    time: Time::from_micros(100 + round * 12 + id),
-                });
-            }
-        }
-        let trace = SimTrace { ops };
-        let inputs = [SimJobInput {
-            name: "grid".to_string(),
-            log: trace_to_log(&trace, "grid", 1_000_000, 1200),
-            trace,
-            capacity: 600,
-            phases: 4,
-        }];
+        let inputs = [synthetic_input("grid", 12)];
         let specs = resolve_sim_specs(
             &["unified", "gen-45-10-45@hit1", "lru", "adaptive"].map(String::from),
             false,

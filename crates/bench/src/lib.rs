@@ -554,15 +554,59 @@ pub type SpecReports = (
 /// to the live document byte-for-byte. Suite-level merges fold rows in
 /// input order, keeping the document identical for every job count.
 pub fn metrics_doc(labels: &[String], benchmarks: &[(String, Vec<SpecReports>)]) -> Value {
+    let bench_values = benchmarks
+        .iter()
+        .map(|(name, reports)| benchmark_entry(name, labels, reports))
+        .collect();
+    Value::Object(vec![
+        ("schema".to_string(), Value::Str(METRICS_SCHEMA.to_string())),
+        ("version".to_string(), Value::UInt(u64::from(METRICS_VERSION))),
+        (
+            "suite".to_string(),
+            suite_section(
+                labels,
+                benchmarks.iter().map(|(_, reports)| reports.as_slice()),
+            ),
+        ),
+        ("benchmarks".to_string(), Value::Array(bench_values)),
+    ])
+}
+
+/// One `benchmarks` element of the metrics document. It depends on its
+/// own benchmark's reports only.
+fn benchmark_entry(name: &str, labels: &[String], reports: &[SpecReports]) -> Value {
+    let mut pairs = vec![("benchmark".to_string(), Value::Str(name.to_string()))];
+    for (label, (metrics, costs, sampled, regret, windows, switches)) in labels.iter().zip(reports)
+    {
+        pairs.push((
+            label.clone(),
+            spec_section(
+                metrics,
+                costs,
+                sampled.as_ref(),
+                regret.as_ref(),
+                windows.as_ref(),
+                switches.as_ref(),
+            ),
+        ));
+    }
+    Value::Object(pairs)
+}
+
+/// The document's `suite` section: each label's reports folded across
+/// the benchmark `rows` in the order given. Float sums and timeline
+/// concatenation depend on that order.
+pub(crate) fn suite_section<'a>(
+    labels: &[String],
+    rows: impl IntoIterator<Item = &'a [SpecReports]>,
+) -> Value {
     let mut suite: Vec<SpecReports> = labels
         .iter()
         .map(|_| (MetricsReport::new(), CostReport::new(1), None, None, None, None))
         .collect();
-    let mut bench_values = Vec::with_capacity(benchmarks.len());
-    for (name, reports) in benchmarks {
-        let mut pairs = vec![("benchmark".to_string(), Value::Str(name.clone()))];
-        for ((label, (metrics, costs, sampled, regret, windows, switches)), merged) in
-            labels.iter().zip(reports).zip(suite.iter_mut())
+    for reports in rows {
+        for ((metrics, costs, sampled, regret, windows, switches), merged) in
+            reports.iter().zip(suite.iter_mut())
         {
             merged.0.merge(metrics);
             merged.1.merge(costs);
@@ -590,43 +634,52 @@ pub fn metrics_doc(labels: &[String], benchmarks: &[(String, Vec<SpecReports>)])
                     Some(m) => m.merge(s),
                 }
             }
-            pairs.push((
-                label.clone(),
-                spec_section(
-                    metrics,
-                    costs,
-                    sampled.as_ref(),
-                    regret.as_ref(),
-                    windows.as_ref(),
-                    switches.as_ref(),
-                ),
-            ));
         }
-        bench_values.push(Value::Object(pairs));
     }
-    let suite_pairs: Vec<(String, Value)> = labels
-        .iter()
-        .zip(&suite)
-        .map(|(label, (metrics, costs, sampled, regret, windows, switches))| {
-            (
-                label.clone(),
-                spec_section(
-                    metrics,
-                    costs,
-                    sampled.as_ref(),
-                    regret.as_ref(),
-                    windows.as_ref(),
-                    switches.as_ref(),
-                ),
+    Value::Object(
+        labels
+            .iter()
+            .zip(&suite)
+            .map(
+                |(label, (metrics, costs, sampled, regret, windows, switches))| {
+                    (
+                        label.clone(),
+                        spec_section(
+                            metrics,
+                            costs,
+                            sampled.as_ref(),
+                            regret.as_ref(),
+                            windows.as_ref(),
+                            switches.as_ref(),
+                        ),
+                    )
+                },
             )
-        })
-        .collect();
-    Value::Object(vec![
-        ("schema".to_string(), Value::Str(METRICS_SCHEMA.to_string())),
-        ("version".to_string(), Value::UInt(u64::from(METRICS_VERSION))),
-        ("suite".to_string(), Value::Object(suite_pairs)),
-        ("benchmarks".to_string(), Value::Array(bench_values)),
-    ])
+            .collect(),
+    )
+}
+
+/// Renders a metrics document from its `suite` section and the text of
+/// its `benchmarks` elements, which are spliced verbatim. When each
+/// element is the rendered entry [`metrics_doc`] builds for it, the
+/// result is byte-identical to rendering the whole tree.
+pub(crate) fn metrics_doc_text(suite: &Value, benchmarks: &[&str]) -> String {
+    let mut out = String::with_capacity(benchmarks.iter().map(|b| b.len() + 1).sum::<usize>() + 64);
+    out.push_str("{\"schema\":");
+    serde_json::write_value(&mut out, &Value::Str(METRICS_SCHEMA.to_string()));
+    out.push_str(",\"version\":");
+    serde_json::write_value(&mut out, &Value::UInt(u64::from(METRICS_VERSION)));
+    out.push_str(",\"suite\":");
+    serde_json::write_value(&mut out, suite);
+    out.push_str(",\"benchmarks\":[");
+    for (i, bench) in benchmarks.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(bench);
+    }
+    out.push_str("]}");
+    out
 }
 
 /// Serializes an assembled [`Value`] tree to JSON text — the one
@@ -634,7 +687,7 @@ pub fn metrics_doc(labels: &[String], benchmarks: &[(String, Vec<SpecReports>)])
 /// byte-for-byte (live export, offline simulator, serve daemon) all go
 /// through it.
 pub fn value_to_json(doc: &Value) -> String {
-    serde_json::to_string(&RawValue(doc.clone())).expect("value trees always serialize")
+    serde_json::value_to_string(doc)
 }
 
 /// Serializes an assembled metrics document to `path` (single JSON
@@ -701,16 +754,6 @@ fn write_metrics_streamed(path: &str, recs: &[StreamedRun], opts: &HarnessOption
         .map(|((profile, _), reports)| (profile.name.clone(), reports))
         .collect();
     write_metrics_doc(path, metrics_doc(&labels, &benchmarks))
-}
-
-/// Adapter so an already-assembled [`Value`] tree can go through
-/// `serde_json::to_string`, which wants a [`Serialize`] type.
-struct RawValue(Value);
-
-impl Serialize for RawValue {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
 }
 
 /// One suite's borrowed slice of profile-keyed rows.

@@ -35,8 +35,8 @@ impl Client {
     /// Like [`new`](Client::new), but every socket read carries
     /// `timeout` — how the fleet router keeps a hung shard from pinning
     /// a dispatch thread. Replies slower than the timeout surface as
-    /// `WouldBlock`/`TimedOut` errors, so budget for the job, not just
-    /// the network.
+    /// `WouldBlock`/`TimedOut` errors unless the call says how to keep
+    /// waiting ([`submit_patiently`](Client::submit_patiently)).
     pub fn with_timeout(addr: impl Into<String>, timeout: std::time::Duration) -> Self {
         Client {
             addr: addr.into(),
@@ -65,6 +65,25 @@ impl Client {
     /// Returns connection failures, local read failures, and a protocol
     /// violation in the reply.
     pub fn submit(&self, reader: impl BufRead, spec: &JobSpec) -> io::Result<Reply> {
+        self.submit_patiently(reader, spec, || false)
+    }
+
+    /// Like [`submit`](Client::submit), but a reply slower than the read
+    /// timeout is not an error by itself: each time a read times out,
+    /// `keep_waiting` is asked, and on `true` the client goes on reading
+    /// the same connection. This is how the fleet router tells a slow
+    /// shard from a dead one.
+    ///
+    /// # Errors
+    ///
+    /// As [`submit`](Client::submit); a read timeout is returned once
+    /// `keep_waiting` says `false`.
+    pub fn submit_patiently(
+        &self,
+        reader: impl BufRead,
+        spec: &JobSpec,
+        keep_waiting: impl FnMut() -> bool,
+    ) -> io::Result<Reply> {
         let stream = self.connect()?;
         let mut writer = BufWriter::new(stream.try_clone()?);
         let upload = || -> io::Result<()> {
@@ -89,7 +108,7 @@ impl Client {
             Err(e) => return Err(e),
         }
         stream.shutdown(Shutdown::Write).ok();
-        read_reply(stream)
+        read_reply_while(stream, keep_waiting)
     }
 
     /// Like [`submit`](Client::submit), but retries `busy` replies under
@@ -414,13 +433,34 @@ impl Client {
 }
 
 fn read_reply(stream: TcpStream) -> io::Result<Reply> {
+    read_reply_while(stream, || false)
+}
+
+/// Reads one reply frame. A read timeout asks `keep_waiting` whether to
+/// go on reading; the bytes of a partly received frame are kept.
+fn read_reply_while(
+    stream: TcpStream,
+    mut keep_waiting: impl FnMut() -> bool,
+) -> io::Result<Reply> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    let mut line = Vec::new();
+    loop {
+        match reader.read_until(b'\n', &mut line) {
+            Ok(_) => break,
+            Err(e)
+                if (e.kind() == io::ErrorKind::WouldBlock
+                    || e.kind() == io::ErrorKind::TimedOut)
+                    && keep_waiting() => {}
+            Err(e) => return Err(e),
+        }
+    }
+    if line.is_empty() {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "server closed the connection without a reply",
         ));
     }
+    let line = String::from_utf8(line)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "reply is not valid UTF-8"))?;
     parse_reply(line.trim_end_matches(['\r', '\n'])).map_err(io::Error::other)
 }

@@ -9,6 +9,7 @@
 //! `docs/PROTOCOL.md` for the full framing and lifecycle contract.
 
 use serde::{Deserialize, Serialize, Value};
+use serde_json::Canonical;
 
 /// Prefix every control frame starts with (after optional whitespace).
 pub const CONTROL_PREFIX: &str = "{\"type\":";
@@ -359,18 +360,41 @@ fn render(value: &Value) -> String {
     gencache_bench::value_to_json(value)
 }
 
-/// Encodes a `result` reply frame. `doc` is embedded as a JSON subtree,
-/// so the client re-serializes it through the same deterministic
-/// renderer and recovers the exact `simulate --metrics-out` bytes.
-pub fn encode_result(doc: Value, table: &str, benches: u64, specs: u64, elapsed_us: u64) -> String {
-    render(&obj(vec![
+/// Encodes a `result` reply frame around a rendered metrics document.
+///
+/// The keys come in a fixed order — `type, benches, specs, elapsed_us,
+/// table, doc` — and `doc`, which must be one JSON value, is spliced in
+/// verbatim as the last one, so the document is never re-rendered on
+/// its way out. [`parse_reply`] takes it back out as a slice.
+pub fn encode_result_text(
+    doc: &str,
+    table: &str,
+    benches: u64,
+    specs: u64,
+    elapsed_us: u64,
+) -> String {
+    let head = render(&obj(vec![
         ("type", Value::Str("result".to_string())),
         ("benches", Value::UInt(benches)),
         ("specs", Value::UInt(specs)),
         ("elapsed_us", Value::UInt(elapsed_us)),
         ("table", Value::Str(table.to_string())),
-        ("doc", doc),
-    ]))
+    ]));
+    let head = head
+        .strip_suffix('}')
+        .expect("an object renders with a closing brace");
+    let mut line = String::with_capacity(head.len() + doc.len() + 8);
+    line.push_str(head);
+    line.push_str(",\"doc\":");
+    line.push_str(doc);
+    line.push('}');
+    line
+}
+
+/// Encodes a `result` reply frame around a metrics document tree: the
+/// tree rendered once, then [`encode_result_text`].
+pub fn encode_result(doc: Value, table: &str, benches: u64, specs: u64, elapsed_us: u64) -> String {
+    encode_result_text(&render(&doc), table, benches, specs, elapsed_us)
 }
 
 /// Encodes a `busy` reply frame.
@@ -557,12 +581,45 @@ pub fn encode_fetch(bench: &str, scale: u64) -> String {
     ]))
 }
 
+/// Decodes a `result` frame in exactly the shape and canonical form
+/// [`encode_result_text`] writes, taking `doc` as a slice of `line`
+/// rather than parsing and re-rendering it. Returns `None` for any other
+/// line, which then takes the general path: an off-shape frame gets
+/// the tree decoder's result, and a truncated or garbled `doc` is an
+/// error there, never a partial slice.
+fn parse_result_frame(line: &str) -> Option<Reply> {
+    let mut c = Canonical::new(line);
+    c.lit("{\"type\":\"result\",\"benches\":")?;
+    let benches = c.u64()?;
+    c.lit(",\"specs\":")?;
+    let specs = c.u64()?;
+    c.lit(",\"elapsed_us\":")?;
+    let elapsed_us = c.u64()?;
+    c.lit(",\"table\":")?;
+    let table = c.string()?.into_owned();
+    c.lit(",\"doc\":")?;
+    let doc = c.value()?.to_string();
+    c.lit("}")?;
+    c.at_end().then_some(Reply::Result {
+        doc,
+        table,
+        benches,
+        specs,
+        elapsed_us,
+    })
+}
+
 /// Decodes one reply frame (client side).
 ///
 /// # Errors
 ///
 /// Returns a description of malformed JSON or an unknown reply type.
 pub fn parse_reply(line: &str) -> Result<Reply, String> {
+    parse_result_frame(line).map_or_else(|| parse_reply_tree(line), Ok)
+}
+
+/// The general reply decoder: parses the whole frame into a tree.
+fn parse_reply_tree(line: &str) -> Result<Reply, String> {
     let value = serde_json::value_from_str(line).map_err(|e| format!("malformed reply: {e}"))?;
     let pairs = value
         .as_object()
@@ -827,6 +884,125 @@ mod tests {
                 assert_eq!((benches, specs, elapsed_us), (1, 2, 3));
             }
             other => panic!("expected result, got {other:?}"),
+        }
+    }
+
+    fn result_parts(reply: Reply) -> (String, String, u64, u64, u64) {
+        match reply {
+            Reply::Result {
+                doc,
+                table,
+                benches,
+                specs,
+                elapsed_us,
+            } => (doc, table, benches, specs, elapsed_us),
+            other => panic!("expected result, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn result_doc_passes_through_fast_and_general_paths_alike() {
+        let doc = Value::Object(vec![
+            (
+                "schema".to_string(),
+                Value::Str("gencache-metrics".to_string()),
+            ),
+            ("version".to_string(), Value::UInt(2)),
+            (
+                "numbers".to_string(),
+                Value::Array(vec![
+                    Value::UInt(u64::MAX),
+                    Value::Int(i64::MIN),
+                    Value::Float(-0.0),
+                    Value::Float(0.1 + 0.2),
+                    Value::Float(5e-324),
+                    Value::Float(f64::NAN),
+                ]),
+            ),
+            (
+                "names".to_string(),
+                Value::Array(vec![
+                    Value::Str("q\"b\\s/\u{1}\té→".to_string()),
+                    Value::Object(vec![]),
+                    Value::Array(vec![]),
+                ]),
+            ),
+        ]);
+        let doc_json = gencache_bench::value_to_json(&doc);
+        let line = encode_result(doc, "=== t: \"x\"\n\ta\\b\n", 4, 31, 12345);
+        assert!(
+            line.ends_with(&format!(",\"doc\":{doc_json}}}")),
+            "doc is not last: {line}"
+        );
+        let fast = parse_result_frame(&line).expect("an encoded frame takes the fast path");
+        let general = parse_reply_tree(&line).unwrap();
+        let fast = result_parts(fast);
+        assert_eq!(fast, result_parts(general));
+        assert_eq!(fast.0, doc_json);
+        assert_eq!(fast.1, "=== t: \"x\"\n\ta\\b\n");
+        assert_eq!((fast.2, fast.3, fast.4), (4, 31, 12345));
+        assert_eq!(result_parts(parse_reply(&line).unwrap()), fast);
+    }
+
+    #[test]
+    fn off_shape_result_frames_fall_back_to_the_same_doc() {
+        let canonical = "{\"schema\":\"m\",\"version\":2,\"x\":[1.5,0,100000.0,\"/\"]}";
+        let loose = "{ \"schema\" : \"m\", \"version\":2,\"x\":[1.50,-0,1e5,\"\\/\"] }";
+        let head = "\"type\":\"result\",\"benches\":1,\"specs\":2,\"elapsed_us\":3";
+        for line in [
+            // Whitespace inside the doc, and non-canonical numbers and
+            // escapes.
+            format!("{{{head},\"table\":\"t\",\"doc\":{loose}}}"),
+            // Whitespace between the frame's own tokens.
+            format!("{{\"type\": \"result\", \"benches\": 1, \"specs\": 2, \"elapsed_us\": 3, \"table\": \"t\", \"doc\": {canonical}}}"),
+            format!("  {{{head},\"table\":\"t\",\"doc\":{canonical}}}  "),
+            // Reordered keys.
+            format!("{{\"benches\":1,\"type\":\"result\",\"specs\":2,\"elapsed_us\":3,\"table\":\"t\",\"doc\":{canonical}}}"),
+            // `doc` not last.
+            format!("{{{head},\"doc\":{canonical},\"table\":\"t\"}}"),
+        ] {
+            assert!(parse_result_frame(&line).is_none(), "fast path took {line}");
+            let (doc, table, benches, specs, elapsed_us) = result_parts(parse_reply(&line).unwrap());
+            assert_eq!(doc, canonical, "from {line}");
+            assert_eq!((table.as_str(), benches, specs, elapsed_us), ("t", 1, 2, 3));
+        }
+    }
+
+    #[test]
+    fn truncated_or_garbled_result_doc_is_an_error() {
+        let doc = Value::Object(vec![
+            (
+                "schema".to_string(),
+                Value::Str("gencache-metrics".to_string()),
+            ),
+            (
+                "rates".to_string(),
+                Value::Array(vec![Value::Float(0.25); 4]),
+            ),
+        ]);
+        let line = encode_result(doc, "t", 1, 2, 3);
+        for cut in [
+            line.len() - 1,
+            line.len() - 2,
+            line.len() - 12,
+            line.find("\"doc\"").unwrap() + 7,
+        ] {
+            assert!(
+                parse_reply(&line[..cut]).is_err(),
+                "truncated frame accepted: {}",
+                &line[..cut]
+            );
+        }
+        for garbled in [
+            line.replace("0.25,", "0.25,,"),
+            line.replace("\"rates\"", "\"rates"),
+            line.replace("\"schema\":", "\"schema\":\\q"),
+            line.replace("]}}", "]}"),
+        ] {
+            assert!(
+                parse_reply(&garbled).is_err(),
+                "garbled frame accepted: {garbled}"
+            );
         }
     }
 }

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use gencache_bench::ingest::{
     render_sim_tables, resolve_sim_specs, run_sim_job, sim_metrics_doc, SimJobOptions, StreamIngest,
 };
-use gencache_bench::stream_events_to;
+use gencache_bench::{stream_events_to, value_to_json};
 use gencache_sim::par::effective_jobs;
 use gencache_sim::stream::{bounded, Receiver, Sender};
 use gencache_sim::{RecorderOptions, StreamedRecording, DEFAULT_STREAM_DEPTH};
@@ -32,7 +32,7 @@ use serde::Value;
 
 use crate::pool::{SubmitError, WorkerPool};
 use crate::proto::{
-    encode_busy, encode_end, encode_error, encode_metrics, encode_pong, encode_result,
+    encode_busy, encode_end, encode_error, encode_metrics, encode_pong, encode_result_text,
     encode_stats, encode_trace, encode_watch, is_control_line, parse_request, JobSpec, Request,
     WatchRow,
 };
@@ -279,7 +279,8 @@ enum IngestItem {
 
 /// A finished job's reply payload, handed back to the connection thread.
 struct ResultParts {
-    doc: Value,
+    /// The metrics document, rendered once on the worker.
+    doc: String,
     table: String,
     benches: u64,
     specs: u64,
@@ -538,11 +539,21 @@ fn handle_watch(
 }
 
 fn handle_ping(ctx: &Ctx, writer: &mut impl Write, hold_ms: u64) -> io::Result<()> {
+    // A plain ping is a liveness probe: answered here, it never waits
+    // behind queued work, so a busy daemon still proves it is alive.
+    if hold_ms == 0 {
+        return if ctx.draining() {
+            send_line(
+                writer,
+                &encode_error("shutting down; not accepting new jobs"),
+            )
+        } else {
+            send_line(writer, &encode_pong())
+        };
+    }
     let (done_tx, mut done_rx) = bounded::<()>(1);
     let job = Box::new(move || {
-        if hold_ms > 0 {
-            std::thread::sleep(Duration::from_millis(hold_ms));
-        }
+        std::thread::sleep(Duration::from_millis(hold_ms));
         let _ = done_tx.send(());
     });
     match ctx.pool.try_submit(job) {
@@ -693,8 +704,8 @@ fn handle_job(
             ServerStats::bump(&ctx.stats.jobs_completed);
             ctx.stats.record_latency(admitted.elapsed().as_micros() as u64);
             let reply_started = Instant::now();
-            let line = encode_result(
-                parts.doc,
+            let line = encode_result_text(
+                &parts.doc,
                 &parts.table,
                 parts.benches,
                 parts.specs,
@@ -915,7 +926,7 @@ fn run_job(
                 }
             }
             let parts = ResultParts {
-                doc: sim_metrics_doc(&out),
+                doc: value_to_json(&sim_metrics_doc(&out)),
                 table: render_sim_tables(&out),
                 benches: out.benches.len() as u64,
                 specs: out.labels.len() as u64,

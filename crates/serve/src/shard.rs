@@ -14,11 +14,12 @@
 //!   healthy and moves minimally when a shard goes down.
 //! * **Byte-identical merge.** A `job` upload is split per benchmark
 //!   into per-shard sub-jobs (dispatched concurrently through
-//!   [`par_map`]); the per-shard metrics documents are deserialized
-//!   into typed reports and reassembled with the same
-//!   input-index-deterministic merge offline `simulate` uses
-//!   ([`merge_metrics_docs`]), so the fleet reply is byte-for-byte what
-//!   a single node would have produced.
+//!   [`par_map`]); the per-shard metrics documents arrive as text and
+//!   are merged as text ([`merge_metrics_texts`]): each benchmark's
+//!   entry is spliced verbatim in upload order and only the `suite`
+//!   section is re-folded, with the same input-index-deterministic
+//!   merge offline `simulate` uses, so the fleet reply is byte-for-byte
+//!   what a single node would have produced.
 //! * **Health + retry.** A background thread pings every shard each
 //!   `health_interval`, marking shards down and back up. Dispatch
 //!   retries a `busy` shard with the shared capped-exponential
@@ -42,14 +43,14 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use gencache_bench::ingest::{classify_line, merge_metrics_docs, merge_sim_tables, RouteClass};
+use gencache_bench::ingest::{classify_line, merge_metrics_texts, merge_sim_tables, RouteClass};
 use gencache_obs::Log2Histogram;
 use gencache_sim::par::par_map;
 use serde::{Deserialize, Serialize, Value};
 
 use crate::client::Client;
 use crate::proto::{
-    encode_end, encode_error, encode_metrics, encode_pong, encode_result, encode_route,
+    encode_end, encode_error, encode_metrics, encode_pong, encode_result_text, encode_route,
     encode_shards, encode_stats, encode_trace, encode_watch, is_control_line, parse_request,
     JobSpec, Reply, Request, WatchRow,
 };
@@ -261,6 +262,18 @@ impl RouterCtx {
     fn shard_client(&self, shard: &Shard) -> Client {
         Client::with_timeout(&shard.addr, self.read_timeout)
     }
+
+    /// Pings `shard` on a fresh connection. A daemon answers a plain
+    /// ping without queueing it behind work, so any answer but
+    /// "shutting down" means alive; a refused, reset or silent
+    /// connection means dead.
+    fn shard_alive(&self, shard: &Shard) -> bool {
+        match self.shard_client(shard).ping(0) {
+            Ok(Reply::Error { message }) => !message.contains("shutting down"),
+            Ok(_) => true,
+            Err(_) => false,
+        }
+    }
 }
 
 /// The fleet router daemon. Binds like a [`Server`](crate::Server),
@@ -424,12 +437,7 @@ fn health_loop(ctx: &RouterCtx) {
                 return;
             }
             let pinged = Instant::now();
-            let alive = match ctx.shard_client(shard).ping(0) {
-                Ok(Reply::Pong | Reply::Busy { .. }) => true,
-                Ok(Reply::Error { message }) => !message.contains("shutting down"),
-                Ok(_) => true,
-                Err(_) => false,
-            };
+            let alive = ctx.shard_alive(shard);
             if alive {
                 shard
                     .last_ping_us
@@ -690,6 +698,12 @@ enum SubError {
 /// Sends one sub-job to one shard, retrying `busy` under the shared
 /// policy. The sub-upload is the prelude plus the selected benchmarks'
 /// lines, in upload order.
+///
+/// A reply slower than the read timeout is not a death: the shard is
+/// pinged on a fresh connection, and while it answers the dispatch
+/// keeps reading the same reply, up to the job's `deadline_ms` if it
+/// has one. Only a refused or reset connection, or a shard that stops
+/// answering pings, counts as dead.
 fn dispatch_once(
     ctx: &RouterCtx,
     spec: &JobSpec,
@@ -711,9 +725,34 @@ fn dispatch_once(
     }
     let client = ctx.shard_client(shard);
     AtomicU64::fetch_add(&ctx.stats.subjobs, 1, Ordering::Relaxed);
+    let deadline = spec
+        .deadline_ms
+        .filter(|&ms| ms > 0)
+        .map(Duration::from_millis);
     let mut attempt = 0u32;
     loop {
-        match client.submit(Cursor::new(body.as_bytes()), spec) {
+        let sent = Instant::now();
+        let mut out_of_time = false;
+        let keep_waiting = || {
+            if deadline.is_some_and(|d| sent.elapsed() >= d) {
+                out_of_time = true;
+                return false;
+            }
+            let alive = ctx.shard_alive(shard);
+            if alive {
+                ctx.telemetry.log().event(
+                    LogLevel::Info,
+                    "shard_slow",
+                    spec.trace_id.as_deref(),
+                    &[
+                        ("addr", Value::Str(shard.addr.clone())),
+                        ("waited_ms", Value::UInt(sent.elapsed().as_millis() as u64)),
+                    ],
+                );
+            }
+            alive
+        };
+        match client.submit_patiently(Cursor::new(body.as_bytes()), spec, keep_waiting) {
             Ok(Reply::Result {
                 doc, table, specs, ..
             }) => {
@@ -745,6 +784,13 @@ fn dispatch_once(
                     shard.addr
                 )));
             }
+            Err(_) if out_of_time => {
+                return Err(SubError::Terminal(format!(
+                    "shard {}: no reply within the job's deadline of {}ms",
+                    shard.addr,
+                    deadline.unwrap_or_default().as_millis()
+                )));
+            }
             Err(e) => return Err(SubError::Dead(format!("shard {}: {e}", shard.addr))),
         }
     }
@@ -755,7 +801,7 @@ fn run_fleet_job(
     ctx: &RouterCtx,
     spec: &JobSpec,
     upload: &Upload,
-) -> Result<(Value, String, u64, u64), String> {
+) -> Result<(String, String, u64, u64), String> {
     let selected: Vec<String> = match &spec.bench {
         Some(want) => {
             if upload.groups.contains_key(want) {
@@ -849,14 +895,8 @@ fn run_fleet_job(
         }
     }
     let merge_started = Instant::now();
-    let docs: Vec<Value> = replies
-        .iter()
-        .map(|r| {
-            serde_json::value_from_str(&r.doc)
-                .map_err(|e| format!("shard returned an unparseable doc: {e}"))
-        })
-        .collect::<Result<_, String>>()?;
-    let doc = merge_metrics_docs(&selected, &docs)?;
+    let docs: Vec<&str> = replies.iter().map(|r| r.doc.as_str()).collect();
+    let doc = merge_metrics_texts(&selected, &docs)?;
     let tables: Vec<String> = replies.iter().map(|r| r.table.clone()).collect();
     let table = merge_sim_tables(&selected, &tables)?;
     if let Some(id) = spec.trace_id.as_deref() {
@@ -910,8 +950,8 @@ fn handle_job(
         Ok((doc, table, benches, specs)) => {
             AtomicU64::fetch_add(&ctx.stats.fleet_jobs_completed, 1, Ordering::Relaxed);
             let reply_started = Instant::now();
-            let line = encode_result(
-                doc,
+            let line = encode_result_text(
+                &doc,
                 &table,
                 benches,
                 specs,

@@ -8,7 +8,8 @@
 //! even while shards die and come back mid-run.
 
 use std::collections::BTreeSet;
-use std::io::Write as _;
+use std::io::{BufRead as _, BufReader, Write as _};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -99,8 +100,12 @@ struct TestServer {
 
 impl TestServer {
     fn start() -> TestServer {
+        TestServer::with_workers(2)
+    }
+
+    fn with_workers(workers: usize) -> TestServer {
         let server = Server::bind(&ServerConfig {
-            workers: Some(2),
+            workers: Some(workers),
             queue_depth: Some(16),
             ..ServerConfig::default()
         })
@@ -142,7 +147,7 @@ struct TestRouter {
 
 impl TestRouter {
     fn start(backends: Vec<String>, health_interval: Duration) -> TestRouter {
-        let router = ShardRouter::bind(&ShardConfig {
+        TestRouter::with_config(ShardConfig {
             backends,
             health_interval,
             // Patient enough to outlast multi-second debug-build
@@ -150,7 +155,10 @@ impl TestRouter {
             retry: RetryPolicy::new(8, 250),
             ..ShardConfig::default()
         })
-        .expect("bind router");
+    }
+
+    fn with_config(config: ShardConfig) -> TestRouter {
+        let router = ShardRouter::bind(&config).expect("bind router");
         let addr = router.local_addr().unwrap().to_string();
         let flag = router.shutdown_flag();
         let handle = std::thread::spawn(move || router.run());
@@ -184,13 +192,49 @@ fn submit_via(addr: &str, spec: &JobSpec) -> Reply {
         .expect("submit through router")
 }
 
+/// The benchmarks in the shared export, by stream source.
+fn bench_names() -> BTreeSet<String> {
+    export()
+        .lines()
+        .filter_map(|l| {
+            l.strip_prefix("{\"source\":\"")
+                .and_then(|rest| rest.split('"').next())
+                .map(str::to_string)
+        })
+        .collect()
+}
+
+/// Starts three shards and a router whose ring places the export's
+/// benchmarks on at least two of them. Shards bind ephemeral ports and
+/// the ring hashes their addresses, so about one fleet in nine would
+/// put every benchmark on one shard; such a fleet is replaced by a
+/// fresh one.
+fn spread_fleet(health_interval: Duration) -> (Vec<TestServer>, TestRouter) {
+    let names = bench_names();
+    assert_eq!(names.len(), BENCHES);
+    for _ in 0..32 {
+        let shards: Vec<TestServer> = (0..3).map(|_| TestServer::start()).collect();
+        let router = TestRouter::start(
+            shards.iter().map(|s| s.addr.clone()).collect(),
+            health_interval,
+        );
+        let owners: BTreeSet<String> = names
+            .iter()
+            .map(|name| match router.client().route(name) {
+                Ok(Reply::Route { addr, .. }) => addr,
+                other => panic!("route failed: {other:?}"),
+            })
+            .collect();
+        if owners.len() >= 2 {
+            return (shards, router);
+        }
+    }
+    panic!("no fleet in 32 starts placed the benchmarks on two shards");
+}
+
 #[test]
 fn fleet_reply_is_byte_identical_to_offline_simulate() {
-    let shards: Vec<TestServer> = (0..3).map(|_| TestServer::start()).collect();
-    let router = TestRouter::start(
-        shards.iter().map(|s| s.addr.clone()).collect(),
-        Duration::from_millis(200),
-    );
+    let (shards, router) = spread_fleet(Duration::from_millis(200));
 
     // Oracle on: each shard doc carries a per-spec regret section, so
     // the router merge must round-trip regret byte-exactly too. (Kept
@@ -355,6 +399,140 @@ fn killing_a_shard_mid_fleet_degrades_gracefully() {
     };
     assert!(doc.contains("\"shards_down\":1"), "stats disagree: {doc}");
     assert!(doc.contains("\"failovers\":1"), "no failover charged: {doc}");
+}
+
+#[test]
+fn slow_shard_is_waited_for_not_failed_over() {
+    // One worker, held by a ping well past the router's read timeout:
+    // the sub-job queues behind it, so its reply is slow for certain.
+    let shard = TestServer::with_workers(1);
+    let read_timeout = Duration::from_millis(500);
+    let router = TestRouter::with_config(ShardConfig {
+        backends: vec![shard.addr.clone()],
+        health_interval: Duration::from_millis(200),
+        read_timeout,
+        ..ShardConfig::default()
+    });
+    let hold = {
+        let addr = shard.addr.clone();
+        std::thread::spawn(move || Client::new(addr).ping(2500))
+    };
+    let waiting_since = std::time::Instant::now();
+    loop {
+        if let Ok(Reply::Stats { doc }) = Client::new(&shard.addr).stats() {
+            if doc.contains("\"in_flight\":1") {
+                break;
+            }
+        }
+        assert!(
+            waiting_since.elapsed() < Duration::from_secs(10),
+            "the held ping never reached the worker"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let submitted = std::time::Instant::now();
+    match submit_via(&router.addr, &fleet_spec()) {
+        Reply::Result { doc, .. } => {
+            assert_eq!(
+                doc,
+                offline_doc(),
+                "slow-shard run diverged from offline simulate"
+            );
+        }
+        other => panic!("unexpected reply {other:?}"),
+    }
+    assert!(
+        submitted.elapsed() > read_timeout,
+        "the sub-job was not slower than the router's read timeout"
+    );
+    assert!(matches!(hold.join().expect("hold thread"), Ok(Reply::Pong)));
+
+    // Slow is not dead: the shard stays up and nothing failed over.
+    let Reply::Shards { doc } = router.client().shards().unwrap() else {
+        panic!("shards request failed");
+    };
+    assert!(
+        !doc.contains("\"up\":false"),
+        "slow shard marked down: {doc}"
+    );
+    let Reply::Stats { doc } = router.client().stats().unwrap() else {
+        panic!("stats request failed");
+    };
+    assert!(doc.contains("\"shards_down\":0"), "stats disagree: {doc}");
+    assert!(
+        doc.contains("\"failovers\":0"),
+        "a slow shard was failed over: {doc}"
+    );
+}
+
+#[test]
+fn live_but_silent_shard_is_bounded_by_the_job_deadline() {
+    // A stand-in shard that answers every ping but never replies to a
+    // job: the router keeps waiting while the pings land, and gives up
+    // at the job's deadline instead of marking the shard down.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind stand-in shard");
+    let addr = listener.local_addr().unwrap().to_string();
+    listener.set_nonblocking(true).unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let shard = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut held = Vec::new();
+            while !stop.load(Ordering::SeqCst) {
+                let stream = match listener.accept() {
+                    Ok((stream, _)) => stream,
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                        std::thread::sleep(Duration::from_millis(5));
+                        continue;
+                    }
+                    Err(e) => panic!("accept failed: {e}"),
+                };
+                stream.set_nonblocking(false).unwrap();
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let mut first = String::new();
+                reader.read_line(&mut first).unwrap();
+                if first.starts_with("{\"type\":\"ping\"") {
+                    writeln!(&stream, "{{\"type\":\"pong\"}}").unwrap();
+                } else {
+                    // Take the whole upload so the router can finish
+                    // sending, then hold the connection unanswered.
+                    std::io::copy(&mut reader, &mut std::io::sink()).unwrap();
+                    held.push(stream);
+                }
+            }
+        })
+    };
+    let router = TestRouter::with_config(ShardConfig {
+        backends: vec![addr],
+        health_interval: Duration::from_millis(200),
+        read_timeout: Duration::from_millis(500),
+        ..ShardConfig::default()
+    });
+    let spec = JobSpec {
+        deadline_ms: Some(600),
+        ..fleet_spec()
+    };
+    match submit_via(&router.addr, &spec) {
+        Reply::Error { message } => assert!(
+            message.ends_with("no reply within the job's deadline of 600ms"),
+            "got {message:?}"
+        ),
+        other => panic!("unexpected reply {other:?}"),
+    }
+    // The router's own shard table (a `stats` request would ask the
+    // stand-in for counters it cannot give).
+    let Reply::Shards { doc } = router.client().shards().unwrap() else {
+        panic!("shards request failed");
+    };
+    assert!(doc.contains("\"up\":true"), "live shard marked down: {doc}");
+    assert!(
+        doc.contains("\"failovers\":0"),
+        "a live shard was failed over: {doc}"
+    );
+    drop(router);
+    stop.store(true, Ordering::SeqCst);
+    shard.join().expect("stand-in shard panicked");
 }
 
 /// Fetches and parses the span set a daemon retains for `trace_id`.

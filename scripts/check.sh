@@ -37,6 +37,8 @@ fleet_events="target/tmp/check-fleet-events.jsonl"
 fleet_second="target/tmp/check-fleet-second.jsonl"
 fleet_sim="target/tmp/check-metrics-fleet-sim.json"
 fleet_served="target/tmp/check-metrics-fleet-served.json"
+fleet_oracle_sim="target/tmp/check-metrics-fleet-oracle-sim.json"
+fleet_oracle_served="target/tmp/check-metrics-fleet-oracle-served.json"
 shard1_log="target/tmp/check-shard1.log"
 shard2_log="target/tmp/check-shard2.log"
 router_log="target/tmp/check-router.log"
@@ -52,6 +54,7 @@ cleanup() {
     "$win_metrics" "$fused_jobs1" "$fused_jobs2" "$adaptive_events" \
     "$serve_metrics" "$serve_log" "$serve_events_log" \
     "$fleet_events" "$fleet_second" "$fleet_sim" "$fleet_served" \
+    "$fleet_oracle_sim" "$fleet_oracle_served" \
     "$shard1_log" "$shard2_log" "$router_log"
 }
 trap cleanup EXIT
@@ -226,6 +229,19 @@ router_metrics="$(./target/release/gencache-client metrics --addr "$router_addr"
   || { echo "router metrics frame came back empty"; exit 1; }
 echo "$router_metrics" | grep -q '^gencache_' \
   || { echo "router metrics expose no gencache_ series: $router_metrics"; exit 1; }
+
+echo "=== fleet oracle smoke: merged grid+oracle doc is byte-identical to offline simulate"
+# Every cell carries a regret section, so the router's text-level merge
+# splices the largest per-benchmark entries and folds their suite.
+./target/release/simulate --events "$fleet_events" --grid --oracle \
+  --metrics-out "$fleet_oracle_sim" > /dev/null
+./target/release/gencache-client submit --addr "$router_addr" \
+  --events "$fleet_events" --grid --oracle \
+  --metrics-out "$fleet_oracle_served" --no-table 2> /dev/null
+grep -q '"regret":{"accesses":' "$fleet_oracle_served" \
+  || { echo "fleet grid+oracle doc has no regret section"; exit 1; }
+cmp "$fleet_oracle_sim" "$fleet_oracle_served" \
+  || { echo "fleet grid+oracle metrics doc differs from offline simulate"; exit 1; }
 
 kill -TERM "$router_pid"
 wait "$router_pid" \
