@@ -1070,11 +1070,13 @@ mod tests {
         let opts = crate::HarnessOptions {
             scale: 64,
             suite: Some(gencache_workloads::Suite::Interactive),
-            jobs: Some(1),
             ..crate::HarnessOptions::default()
         };
-        let recs = crate::record_all_streamed(&opts);
-        let (bytes, _) = crate::stream_events_to(Vec::new(), &recs[..benches]).unwrap();
+        let runs: Vec<crate::Run> = opts.profiles()[..benches]
+            .iter()
+            .map(|p| (p.clone(), gencache_sim::record(p).unwrap()))
+            .collect();
+        let (bytes, _) = crate::stream_events_to(Vec::new(), &runs).unwrap();
         String::from_utf8(bytes).unwrap()
     }
 

@@ -32,11 +32,7 @@
 //! machine's available parallelism). Record and replay fan out across
 //! benchmarks; output is deterministic and identical for every job
 //! count. Observability flags: `--events-out` / `--metrics-out` /
-//! `--sample N` / `--sample-seed S` / `--progress`. Memory flags:
-//! `--stream` runs the figure pipeline through the bounded-channel
-//! streamed record path (no full `AccessLog` is ever materialized;
-//! peak memory is O(channel depth + model state)), and
-//! `--stream-depth N` sets the channel depth.
+//! `--sample N` / `--sample-seed S` / `--progress`.
 
 #![warn(missing_docs)]
 
@@ -52,9 +48,8 @@ use gencache_obs::{
 use serde::{Serialize, Value};
 use gencache_sim::par::{par_map, par_map_timed};
 use gencache_sim::{
-    collect_costs, collect_metrics, collect_sampled, compare_figure9_metered, record,
-    replay_observed, Comparison, ModelSpec, ProgressMeter, RecordedRun, RecorderOptions,
-    StreamedRecording, DEFAULT_STREAM_DEPTH,
+    collect_costs, collect_metrics, collect_sampled, compare_figure9_metered, record, Comparison,
+    ModelSpec, ProgressMeter, RecordedRun, Recording, StreamedRecording,
 };
 use gencache_workloads::{all_benchmarks, Suite, WorkloadProfile};
 
@@ -90,21 +85,12 @@ pub struct HarnessOptions {
     pub sample: Option<u64>,
     /// Seed for the sampling observer's striding/reservoir decisions.
     pub sample_seed: u64,
-    /// Run the record→replay pipeline through the bounded-channel
-    /// streamed path: no benchmark's full [`AccessLog`] is ever
-    /// materialized. Each replay re-records (recording is
-    /// deterministic), trading one extra recording pass per replay for
-    /// peak memory bounded by O(channel depth + model state).
-    pub stream: bool,
-    /// Bounded-channel depth for `--stream` (records in flight);
-    /// `None` uses [`DEFAULT_STREAM_DEPTH`].
-    pub stream_depth: Option<usize>,
 }
 
 impl HarnessOptions {
     /// Parses `--scale N`, `--suite spec|interactive`, `--jobs N`,
-    /// `--events-out FILE`, `--metrics-out FILE` and `--progress` from
-    /// `args`.
+    /// `--events-out FILE`, `--metrics-out FILE`, `--progress`,
+    /// `--sample N` and `--sample-seed S` from `args`.
     ///
     /// # Panics
     ///
@@ -128,8 +114,7 @@ impl HarnessOptions {
                     opts.suite = Some(match v.as_str() {
                         "spec" | "spec2000" => Suite::Spec2000,
                         "interactive" | "windows" => Suite::Interactive,
-                        "adversarial" => Suite::Adversarial,
-                        other => panic!("unknown suite {other:?}; use spec|interactive|adversarial"),
+                        other => panic!("unknown suite {other:?}; use spec|interactive"),
                     });
                 }
                 "--jobs" => {
@@ -157,19 +142,10 @@ impl HarnessOptions {
                     let v = it.next().expect("--sample-seed needs a value");
                     opts.sample_seed = v.parse().expect("--sample-seed must be an integer");
                 }
-                "--stream" => {
-                    opts.stream = true;
-                }
-                "--stream-depth" => {
-                    let v = it.next().expect("--stream-depth needs a value");
-                    let depth: usize = v.parse().expect("--stream-depth must be a positive integer");
-                    assert!(depth > 0, "--stream-depth must be positive");
-                    opts.stream_depth = Some(depth);
-                }
                 other => panic!(
                     "unknown argument {other:?}; use --scale N / --suite S / --jobs N / \
                      --events-out FILE / --metrics-out FILE / --progress / --sample N / \
-                     --sample-seed S / --stream / --stream-depth N"
+                     --sample-seed S"
                 ),
             }
         }
@@ -199,11 +175,6 @@ impl HarnessOptions {
             reservoir: 1024,
             seed: self.sample_seed,
         })
-    }
-
-    /// The bounded-channel depth for streamed replays.
-    pub fn effective_stream_depth(&self) -> usize {
-        self.stream_depth.unwrap_or(DEFAULT_STREAM_DEPTH)
     }
 
     /// The benchmark profiles selected by these options.
@@ -286,85 +257,19 @@ pub fn compare_all(opts: &HarnessOptions, runs: &[Run]) -> Vec<(WorkloadProfile,
 /// A recorded benchmark paired with its profile.
 pub type Run = (WorkloadProfile, RecordedRun);
 
-/// A probed streamed recording paired with its profile — the `--stream`
-/// counterpart of [`Run`], holding run facts instead of a log.
+/// A probed bounded-memory recording paired with its profile — the
+/// counterpart of [`Run`] that holds run facts instead of a log. The serve
+/// daemon's `fetch` exports these.
 pub type StreamedRun = (WorkloadProfile, StreamedRecording);
 
-/// Probes every selected benchmark for the streamed pipeline: one
-/// recording pass per benchmark that discards records and keeps only the
-/// run facts. Fan-out, ordering, and timing output mirror
-/// [`record_all`].
-pub fn record_all_streamed(opts: &HarnessOptions) -> Vec<StreamedRun> {
-    let profiles = opts.profiles();
-    let jobs = opts.effective_jobs();
-    let depth = opts.effective_stream_depth();
-    eprintln!(
-        "probing {} benchmarks ({jobs} jobs, stream depth {depth}) ...",
-        profiles.len()
-    );
-    let started = Instant::now();
-    let results = par_map_timed(&profiles, jobs, |p| {
-        StreamedRecording::probe(p, RecorderOptions::default(), depth)
-            .expect("calibrated profiles always plan")
-    });
-    let mut out = Vec::with_capacity(profiles.len());
-    for (profile, (rec, shard)) in profiles.into_iter().zip(results) {
-        eprintln!("  probed   {:<10} in {:7.3}s", profile.name, shard.as_secs_f64());
-        out.push((profile, rec));
-    }
-    eprintln!(
-        "probed {} benchmarks in {:.3}s wall-clock",
-        out.len(),
-        started.elapsed().as_secs_f64()
-    );
-    out
-}
-
-/// Streamed counterpart of [`compare_all`]: each benchmark re-records
-/// through a bounded channel and drives all four Figure 9 models from
-/// the single stream. Output order matches `recs` and is bit-identical
-/// to the materialized path for every job count. (`--progress` is a
-/// no-op here: the producer thread owns the record counter.)
-pub fn compare_all_streamed(
-    opts: &HarnessOptions,
-    recs: &[StreamedRun],
-) -> Vec<(WorkloadProfile, Comparison)> {
-    let jobs = opts.effective_jobs();
-    eprintln!("replaying {} benchmarks ({jobs} jobs, streamed) ...", recs.len());
-    let started = Instant::now();
-    let results = par_map_timed(recs, jobs, |(_, rec)| rec.compare_figure9());
-    let out: Vec<(WorkloadProfile, Comparison)> = recs
-        .iter()
-        .zip(results)
-        .map(|((p, _), (c, shard))| {
-            eprintln!("  replayed {:<10} in {:7.3}s", p.name, shard.as_secs_f64());
-            (p.clone(), c)
-        })
-        .collect();
-    eprintln!(
-        "replayed {} benchmarks in {:.3}s wall-clock",
-        out.len(),
-        started.elapsed().as_secs_f64()
-    );
-    out
-}
-
 /// The full record → export → compare pipeline behind every figure
-/// binary, dispatching on `--stream`: the materialized path records each
-/// benchmark's [`AccessLog`] once and replays it in place, while the
-/// streamed path never materializes a log and instead re-records through
-/// a bounded channel for each replay. Both produce bit-identical
-/// comparisons and telemetry artifacts.
+/// binary: each benchmark's [`AccessLog`](gencache_sim::AccessLog) is
+/// recorded once and replayed in place for the telemetry export and the
+/// Figure 9 comparison.
 pub fn comparison_pipeline(opts: &HarnessOptions) -> Vec<(WorkloadProfile, Comparison)> {
-    if opts.stream {
-        let recs = record_all_streamed(opts);
-        export_telemetry_streamed(opts, &recs).expect("telemetry export failed");
-        compare_all_streamed(opts, &recs)
-    } else {
-        let runs = record_all(opts);
-        export_telemetry(opts, &runs).expect("telemetry export failed");
-        compare_all(opts, &runs)
-    }
+    let runs = record_all(opts);
+    export_telemetry(opts, &runs).expect("telemetry export failed");
+    compare_all(opts, &runs)
 }
 
 /// The organizations exported by `--events-out` / `--metrics-out`: the
@@ -382,13 +287,7 @@ pub fn export_specs() -> [(&'static str, ModelSpec); 2] {
 /// deterministic — and reproducible by the offline simulator, whose
 /// reconstructed log preserves the access count exactly.
 pub fn sample_interval(log: &gencache_sim::AccessLog) -> u64 {
-    sample_interval_for(log.access_count())
-}
-
-/// [`sample_interval`] keyed on a bare access count, for the streamed
-/// path where no log exists.
-pub fn sample_interval_for(accesses: u64) -> u64 {
-    (accesses / 64).max(1)
+    (log.access_count() / 64).max(1)
 }
 
 /// Honors `--events-out` and `--metrics-out`: replays every recorded
@@ -396,27 +295,12 @@ pub fn sample_interval_for(accesses: u64) -> u64 {
 /// and writes the requested artifacts. A no-op when neither flag is set.
 pub fn export_telemetry(opts: &HarnessOptions, runs: &[Run]) -> io::Result<()> {
     if let Some(path) = &opts.events_out {
-        let lines = write_events(path, runs)?;
+        let (mut writer, lines) = stream_events_to(BufWriter::new(File::create(path)?), runs)?;
+        writer.flush()?;
         eprintln!("wrote {lines} events to {path}");
     }
     if let Some(path) = &opts.metrics_out {
         write_metrics(path, runs, opts)?;
-        eprintln!("wrote metrics to {path}");
-    }
-    Ok(())
-}
-
-/// Streamed counterpart of [`export_telemetry`]: every artifact is
-/// produced through bounded-channel replays (one extra recording pass
-/// per instrumented replay) and is byte-identical to the materialized
-/// export.
-pub fn export_telemetry_streamed(opts: &HarnessOptions, recs: &[StreamedRun]) -> io::Result<()> {
-    if let Some(path) = &opts.events_out {
-        let lines = write_events_streamed(path, recs)?;
-        eprintln!("wrote {lines} events to {path}");
-    }
-    if let Some(path) = &opts.metrics_out {
-        write_metrics_streamed(path, recs, opts)?;
         eprintln!("wrote metrics to {path}");
     }
     Ok(())
@@ -456,8 +340,20 @@ fn spec_section(
     Value::Object(pairs)
 }
 
-fn write_events(path: &str, runs: &[Run]) -> io::Result<u64> {
-    let mut writer = BufWriter::new(File::create(path)?);
+/// Writes a v2 `gencache-events` export of `runs` into `writer`: the
+/// header, then for each (benchmark, exported model) a [`RunMeta`] line
+/// followed by that model's event lines. The one writer of the layout:
+/// `--events-out` passes materialized [`Run`]s, the serve daemon's
+/// `fetch` passes bounded-memory [`StreamedRun`]s, and both produce the
+/// same bytes. Returns the writer and the number of lines written.
+///
+/// # Errors
+///
+/// Propagates the writer's I/O errors.
+pub fn stream_events_to<W: Write, R: Recording>(
+    mut writer: W,
+    runs: &[(WorkloadProfile, R)],
+) -> io::Result<(W, u64)> {
     let header =
         serde_json::to_string(&StreamHeader::current()).map_err(|e| io::Error::other(format!("{e:?}")))?;
     writeln!(writer, "{header}")?;
@@ -470,60 +366,15 @@ fn write_events(path: &str, runs: &[Run]) -> io::Result<u64> {
             let meta = RunMeta {
                 source: profile.name.clone(),
                 model: label.to_string(),
-                duration_us: run.log.duration.as_micros(),
-                peak_trace_bytes: run.log.peak_trace_bytes,
+                duration_us: run.duration().as_micros(),
+                peak_trace_bytes: run.peak_trace_bytes(),
                 phases: profile.phases.max(1),
             };
             let meta = serde_json::to_string(&meta).map_err(|e| io::Error::other(format!("{e:?}")))?;
             writeln!(writer, "{meta}")?;
             lines += 1;
             let sink = JsonlSink::new(writer, profile.name.clone(), label);
-            let (_, sink) = replay_observed(&run.log, spec, sink);
-            lines += sink.lines();
-            writer = sink.finish()?;
-        }
-    }
-    writer.flush()?;
-    Ok(lines)
-}
-
-fn write_events_streamed(path: &str, recs: &[StreamedRun]) -> io::Result<u64> {
-    let writer = BufWriter::new(File::create(path)?);
-    let (mut writer, lines) = stream_events_to(writer, recs)?;
-    writer.flush()?;
-    Ok(lines)
-}
-
-/// Streams a v2 `gencache-events` export of `recs` into `writer` —
-/// header, then per (benchmark, exported model) a [`RunMeta`] line
-/// followed by the event lines, each model's events produced by one
-/// bounded-channel replay (never materialized). Byte-identical to the
-/// `--events-out` file written by the figure pipeline. Returns the
-/// writer and the number of lines written — useful when the writer is a
-/// socket (the serve daemon's `fetch`) rather than a file.
-///
-/// # Errors
-///
-/// Propagates the writer's I/O errors.
-pub fn stream_events_to<W: Write>(mut writer: W, recs: &[StreamedRun]) -> io::Result<(W, u64)> {
-    let header =
-        serde_json::to_string(&StreamHeader::current()).map_err(|e| io::Error::other(format!("{e:?}")))?;
-    writeln!(writer, "{header}")?;
-    let mut lines = 1u64;
-    for (profile, rec) in recs {
-        for (label, spec) in export_specs() {
-            let meta = RunMeta {
-                source: profile.name.clone(),
-                model: label.to_string(),
-                duration_us: rec.facts().duration.as_micros(),
-                peak_trace_bytes: rec.facts().frontend.peak_trace_bytes,
-                phases: profile.phases.max(1),
-            };
-            let meta = serde_json::to_string(&meta).map_err(|e| io::Error::other(format!("{e:?}")))?;
-            writeln!(writer, "{meta}")?;
-            lines += 1;
-            let sink = JsonlSink::new(writer, profile.name.clone(), label);
-            let (_, sink) = rec.replay_observed(spec, sink);
+            let (_, sink) = run.replay_observed(spec, sink);
             lines += sink.lines();
             writer = sink.finish()?;
         }
@@ -729,38 +580,11 @@ fn write_metrics(path: &str, runs: &[Run], opts: &HarnessOptions) -> io::Result<
     write_metrics_doc(path, metrics_doc(&labels, &benchmarks))
 }
 
-fn write_metrics_streamed(path: &str, recs: &[StreamedRun], opts: &HarnessOptions) -> io::Result<()> {
-    let jobs = opts.effective_jobs();
-    let sampling = opts.sampling_params();
-    let per_bench: Vec<Vec<SpecReports>> = par_map(recs, jobs, |(profile, rec)| {
-        export_specs()
-            .iter()
-            .map(|&(_, spec)| {
-                let every = sample_interval_for(rec.access_count());
-                let metrics = rec.collect_metrics(spec, every).1;
-                let costs = rec.collect_costs(spec, profile.phases.max(1)).1;
-                let sampled = sampling.map(|p| rec.collect_sampled(spec, p, every).1);
-                (metrics, costs, sampled, None, None, None)
-            })
-            .collect()
-    });
-    let labels: Vec<String> = export_specs()
-        .iter()
-        .map(|&(label, _)| label.to_string())
-        .collect();
-    let benchmarks: Vec<(String, Vec<SpecReports>)> = recs
-        .iter()
-        .zip(per_bench)
-        .map(|((profile, _), reports)| (profile.name.clone(), reports))
-        .collect();
-    write_metrics_doc(path, metrics_doc(&labels, &benchmarks))
-}
-
 /// One suite's borrowed slice of profile-keyed rows.
 pub type SuiteRows<'a, T> = Vec<&'a (WorkloadProfile, T)>;
 
-/// Splits profile-keyed rows (recorded runs, streamed recordings, or
-/// comparisons) by suite, preserving order: `(spec, interactive)`.
+/// Splits profile-keyed rows (recorded runs or comparisons) by suite,
+/// preserving order: `(spec, interactive)`.
 pub fn by_suite<T>(runs: &[(WorkloadProfile, T)]) -> (SuiteRows<'_, T>, SuiteRows<'_, T>) {
     let spec = runs
         .iter()
@@ -829,6 +653,18 @@ mod tests {
     #[should_panic(expected = "unknown argument")]
     fn parse_rejects_garbage() {
         let _ = HarnessOptions::parse(args(&["--bogus"]));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown argument \"--stream\"")]
+    fn parse_rejects_retired_stream_flag() {
+        let _ = HarnessOptions::parse(args(&["--stream"]));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown suite \"adversarial\"; use spec|interactive")]
+    fn parse_rejects_adversarial_suite() {
+        let _ = HarnessOptions::parse(args(&["--suite", "adversarial"]));
     }
 
     #[test]

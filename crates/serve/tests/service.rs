@@ -14,9 +14,10 @@ use std::time::{Duration, Instant};
 use gencache_bench::ingest::{
     resolve_sim_specs, run_sim_job, sim_metrics_doc, SimJobOptions, StreamIngest,
 };
-use gencache_bench::{export_telemetry, record_all, value_to_json, HarnessOptions};
+use gencache_bench::{stream_events_to, value_to_json, HarnessOptions, Run};
 use gencache_obs::{parse_stream_line, StreamLine};
 use gencache_serve::{Client, JobSpec, Reply, RetryPolicy, Server, ServerConfig, Span};
+use gencache_sim::record;
 use gencache_workloads::Suite;
 use serde::Value;
 
@@ -25,21 +26,17 @@ use serde::Value;
 fn export() -> &'static str {
     static EXPORT: OnceLock<String> = OnceLock::new();
     EXPORT.get_or_init(|| {
-        let dir = std::env::temp_dir().join(format!("gencache-serve-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("events.jsonl").to_str().unwrap().to_string();
         let opts = HarnessOptions {
             scale: 64,
             suite: Some(Suite::Interactive),
-            jobs: Some(1),
-            events_out: Some(path.clone()),
             ..HarnessOptions::default()
         };
-        let runs = record_all(&opts);
-        export_telemetry(&opts, &runs[..1]).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-        text
+        let runs: Vec<Run> = opts.profiles()[..1]
+            .iter()
+            .map(|p| (p.clone(), record(p).unwrap()))
+            .collect();
+        let (bytes, _) = stream_events_to(Vec::new(), &runs).unwrap();
+        String::from_utf8(bytes).unwrap()
     })
 }
 

@@ -71,11 +71,11 @@ pub use simulate::{
     parse_spec, replay_sim_observed, simulate_costs, simulate_metrics, simulate_regret,
     simulate_switches, trace_to_log, LocalPolicy, SimSpec, SimulatedSpec,
 };
-pub use streamed::{compare_figure9_streamed, StreamedRecording, DEFAULT_STREAM_DEPTH};
+pub use streamed::{StreamedRecording, DEFAULT_STREAM_DEPTH};
 pub use sweep::{best_point, policy_grid, proportion_grid, sweep, sweep_with_jobs, SweepPoint};
 pub use telemetry::{
     collect_costs, collect_events, collect_metrics, collect_sampled, replay_observed, suite_costs,
-    suite_metrics, suite_sampled, ModelSpec,
+    suite_metrics, suite_sampled, ModelSpec, Recording,
 };
 pub use threads::{
     partition_by_module, replay_thread_private, replay_thread_shared, BudgetSplit, ThreadCacheKind,

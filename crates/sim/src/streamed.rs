@@ -1,10 +1,9 @@
-//! The streamed record path: recorder → bounded channel → replay.
+//! The bounded-memory record path: recorder → bounded channel → replay.
 //!
 //! The materialized pipeline records a benchmark into a full
 //! [`AccessLog`](crate::AccessLog) and replays it afterwards, so its peak
-//! memory grows linearly with stream length — the ROADMAP's blocker for
-//! production trace volumes. This module removes the log entirely:
-//! recording is deterministic, so a [`StreamedRecording`] runs the
+//! memory grows linearly with stream length. This module never holds the
+//! log: recording is deterministic, so a [`StreamedRecording`] runs the
 //! recorder **twice**. The first pass ([`StreamedRecording::probe`])
 //! discards every record and keeps only the [`RecordFacts`] — enough to
 //! size the paper's standard capacity (`peak/2`) and build the
@@ -12,22 +11,22 @@
 //! pushes records through a [`stream::bounded`] channel, and drives the
 //! cache models incrementally on the consumer side. Peak memory is
 //! O(channel depth + model state), never O(stream length), at the cost of
-//! one extra recording pass per replay — the explicit trade the streamed
-//! figure binaries make with `--stream`.
+//! one extra recording pass per replay — the trade the serve daemon's
+//! `fetch` and the in-memory exporter make, and that the figure binaries
+//! (which record once and replay the log many times) do not.
 //!
 //! One channel pass can drive *many* models at once (via
-//! [`ReplayCursor`]), so the Figure 9 four-model comparison still costs a
-//! single producer pass.
+//! [`ReplayCursor`]).
 
-use gencache_core::{CacheModel, GenerationalConfig, GenerationalModel, UnifiedModel};
+use gencache_core::{CacheModel, GenerationalModel, UnifiedModel};
 use gencache_obs::Observer;
 use gencache_workloads::{PlanError, WorkloadProfile};
 
 use crate::log::LogRecord;
 use crate::recorder::{record_stream_with, RecordFacts, RecorderOptions, RunSummary};
-use crate::replay::{Comparison, ReplayCursor, ReplayResult};
+use crate::replay::{ReplayCursor, ReplayResult};
 use crate::stream;
-use crate::telemetry::ModelSpec;
+use crate::telemetry::{ModelSpec, Recording};
 
 /// Default bounded-channel depth for streamed replays: deep enough to
 /// decouple producer and consumer scheduling hiccups, small enough that
@@ -38,8 +37,7 @@ pub const DEFAULT_STREAM_DEPTH: usize = 4096;
 ///
 /// Construct with [`probe`](StreamedRecording::probe) (pass 1: facts
 /// only), then call [`replay_models`](StreamedRecording::replay_models) /
-/// [`replay_observed`](StreamedRecording::replay_observed) /
-/// [`compare_figure9`](StreamedRecording::compare_figure9) any number of
+/// [`replay_observed`](StreamedRecording::replay_observed) any number of
 /// times — each replay re-records through a bounded channel.
 #[derive(Debug, Clone)]
 pub struct StreamedRecording {
@@ -166,100 +164,27 @@ impl StreamedRecording {
             }
         }
     }
-
-    /// Streamed counterpart of [`collect_metrics`](crate::collect_metrics).
-    pub fn collect_metrics(
-        &self,
-        spec: ModelSpec,
-        sample_every: u64,
-    ) -> (ReplayResult, gencache_obs::MetricsReport) {
-        let (result, observer) =
-            self.replay_observed(spec, gencache_obs::MetricsObserver::with_timeline(sample_every));
-        (result, observer.report())
-    }
-
-    /// Streamed counterpart of [`collect_costs`](crate::collect_costs).
-    pub fn collect_costs(
-        &self,
-        spec: ModelSpec,
-        phases: u32,
-    ) -> (ReplayResult, gencache_obs::CostReport) {
-        let observer =
-            gencache_obs::CostObserver::with_phases(phases, self.facts.duration.as_micros());
-        let (result, observer) = self.replay_observed(spec, observer);
-        (result, observer.into_report())
-    }
-
-    /// Streamed counterpart of [`collect_sampled`](crate::collect_sampled).
-    pub fn collect_sampled(
-        &self,
-        spec: ModelSpec,
-        params: gencache_obs::SamplingParams,
-        sample_every: u64,
-    ) -> (ReplayResult, gencache_obs::SampledReport) {
-        let observer = gencache_obs::SamplingObserver::with_timeline(params, sample_every);
-        let (result, observer) = self.replay_observed(spec, observer);
-        (result, observer.report())
-    }
-
-    /// Streamed counterpart of [`compare_figure9`](crate::compare_figure9):
-    /// the unified baseline and the three Figure 9 generational layouts,
-    /// all driven from **one** producer pass.
-    pub fn compare_figure9(&self) -> Comparison {
-        let capacity = self.capacity();
-        let configs = GenerationalConfig::figure9_configs(capacity);
-        let mut unified = UnifiedModel::new(capacity);
-        let mut generational: Vec<GenerationalModel> =
-            configs.iter().map(|c| GenerationalModel::new(*c)).collect();
-
-        let mut models: Vec<&mut dyn CacheModel> = Vec::with_capacity(1 + generational.len());
-        models.push(&mut unified);
-        for model in &mut generational {
-            models.push(model);
-        }
-        self.replay_models(&mut models);
-
-        Comparison {
-            benchmark: self.profile.name.clone(),
-            capacity,
-            unified: ReplayResult {
-                model: unified.name(),
-                metrics: *unified.metrics(),
-                ledger: *unified.ledger(),
-            },
-            generational: generational
-                .iter()
-                .map(|model| ReplayResult {
-                    model: model.name(),
-                    metrics: *model.metrics(),
-                    ledger: *model.ledger(),
-                })
-                .collect(),
-        }
-    }
 }
 
-/// Probes `profile` and runs the streamed Figure 9 comparison in one
-/// call, returning the recording for further replays.
-///
-/// # Errors
-///
-/// Returns [`PlanError`] if the workload cannot be planned.
-pub fn compare_figure9_streamed(
-    profile: &WorkloadProfile,
-    depth: usize,
-) -> Result<(StreamedRecording, Comparison), PlanError> {
-    let rec = StreamedRecording::probe(profile, RecorderOptions::default(), depth)?;
-    let comparison = rec.compare_figure9();
-    Ok((rec, comparison))
+impl Recording for StreamedRecording {
+    fn duration(&self) -> gencache_program::Time {
+        self.facts.duration
+    }
+
+    fn peak_trace_bytes(&self) -> u64 {
+        self.facts.frontend.peak_trace_bytes
+    }
+
+    fn replay_observed<O: Observer>(&self, spec: ModelSpec, observer: O) -> (ReplayResult, O) {
+        StreamedRecording::replay_observed(self, spec, observer)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::recorder::record;
-    use crate::replay::compare_figure9;
-    use gencache_obs::MetricsObserver;
+    use gencache_obs::{MetricsObserver, NullObserver};
     use gencache_workloads::Suite;
     use serde::Serialize;
 
@@ -287,14 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_figure9_is_bit_identical_to_materialized() {
-        let run = record(&profile()).unwrap();
-        let materialized = compare_figure9(&run.log);
-        let (_, streamed) = compare_figure9_streamed(&profile(), 32).unwrap();
-        assert_eq!(doc(&streamed), doc(&materialized));
-    }
-
-    #[test]
     fn streamed_observed_replay_matches_materialized() {
         let run = record(&profile()).unwrap();
         let rec = StreamedRecording::probe(&profile(), RecorderOptions::default(), 16).unwrap();
@@ -309,7 +226,10 @@ mod tests {
 
     #[test]
     fn tiny_channel_depth_still_replays_completely() {
-        let (rec, comparison) = compare_figure9_streamed(&profile(), 1).unwrap();
-        assert_eq!(comparison.unified.metrics.accesses, rec.access_count());
+        let rec = StreamedRecording::probe(&profile(), RecorderOptions::default(), 1).unwrap();
+        for spec in [ModelSpec::Unified, ModelSpec::best_generational()] {
+            let (result, _) = rec.replay_observed(spec, NullObserver);
+            assert_eq!(result.metrics.accesses, rec.access_count());
+        }
     }
 }

@@ -16,8 +16,10 @@ use gencache_obs::{
     CacheEvent, CostObserver, CostReport, EventBuffer, MetricsObserver, MetricsReport, Observer,
     SampledReport, SamplingObserver, SamplingParams,
 };
+use gencache_program::Time;
 
 use crate::log::AccessLog;
+use crate::recorder::RecordedRun;
 use crate::replay::ReplayResult;
 use crate::simulate::{replay_sim_observed, SimSpec};
 
@@ -68,6 +70,37 @@ pub fn replay_observed<O: Observer>(
     let capacity = (log.peak_trace_bytes / 2).max(1);
     let (result, observer, _) = replay_sim_observed(log, SimSpec::Model(spec), capacity, observer);
     (result, observer)
+}
+
+/// A benchmark recording that can be replayed under observation: the
+/// materialized [`RecordedRun`] or the bounded-memory
+/// [`StreamedRecording`](crate::StreamedRecording). Both replay the
+/// same record stream, so anything written from one is byte-identical
+/// to what the other writes.
+pub trait Recording {
+    /// Wall-clock span of the recorded run.
+    fn duration(&self) -> Time;
+
+    /// Peak unbounded-cache trace bytes; the standard budget is half of it.
+    fn peak_trace_bytes(&self) -> u64;
+
+    /// Replays the recording into the model described by `spec` at the
+    /// standard budget with `observer` attached.
+    fn replay_observed<O: Observer>(&self, spec: ModelSpec, observer: O) -> (ReplayResult, O);
+}
+
+impl Recording for RecordedRun {
+    fn duration(&self) -> Time {
+        self.log.duration
+    }
+
+    fn peak_trace_bytes(&self) -> u64 {
+        self.log.peak_trace_bytes
+    }
+
+    fn replay_observed<O: Observer>(&self, spec: ModelSpec, observer: O) -> (ReplayResult, O) {
+        replay_observed(&self.log, spec, observer)
+    }
 }
 
 /// Replays `log` and captures the complete event stream.

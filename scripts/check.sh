@@ -45,8 +45,9 @@ router_log="target/tmp/check-router.log"
 shard1_pid=""
 shard2_pid=""
 router_pid=""
+contention_pid=""
 cleanup() {
-  for pid in "$serve_pid" "$shard1_pid" "$shard2_pid" "$router_pid"; do
+  for pid in "$serve_pid" "$shard1_pid" "$shard2_pid" "$router_pid" "$contention_pid"; do
     [ -n "$pid" ] && kill "$pid" 2>/dev/null
   done
   rm -f "$events" "$live_metrics" "$sim_metrics" "$baseline" "$regret_metrics" \
@@ -257,5 +258,24 @@ shard1_pid=""
 shard2_pid=""
 grep -q "drained, exiting" "$shard1_log" && grep -q "drained, exiting" "$shard2_log" \
   || { echo "a shard did not drain cleanly"; exit 1; }
+
+echo "=== serve + fleet under contention: the serve suites next to a busy fig9 loop"
+# Liveness, deadlines and failover must hold while another process
+# competes for the CPU. The loop kills its running fig9 on SIGTERM, so
+# the cleanup trap stops both.
+(
+  fig9_pid=""
+  trap 'kill "$fig9_pid" 2>/dev/null; wait "$fig9_pid" 2>/dev/null || true; exit 0' TERM
+  while :; do
+    ./target/release/fig9_miss_rates --scale 8 > /dev/null 2>&1 &
+    fig9_pid=$!
+    wait "$fig9_pid" || true
+  done
+) &
+contention_pid=$!
+cargo test --release -q -p gencache-serve
+kill "$contention_pid"
+wait "$contention_pid" || true
+contention_pid=""
 
 echo "all checks passed"

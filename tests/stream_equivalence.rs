@@ -1,81 +1,49 @@
-//! The streamed record path (`--stream`: recorder → bounded channel →
-//! replay, no materialized `AccessLog`) must be bit-identical to the
-//! materialized pipeline — comparisons, summaries, and both telemetry
-//! artifacts — at jobs 1/2/8 and across channel depths.
+//! The v2 export has one writer and two kinds of recording behind it:
+//! materialized runs (`--events-out`) and bounded-memory
+//! `StreamedRecording`s (the serve daemon's `fetch`, the in-memory
+//! exporter). Both must give the same bytes at any channel depth, and
+//! the probe's summaries must equal the recorded ones.
 
-use gencache_bench::{
-    compare_all, compare_all_streamed, export_telemetry, export_telemetry_streamed, record_all,
-    record_all_streamed, HarnessOptions,
-};
+use gencache_bench::{record_all, stream_events_to, HarnessOptions, StreamedRun};
+use gencache_sim::{RecorderOptions, StreamedRecording};
 use gencache_workloads::Suite;
 
-fn opts(jobs: usize) -> HarnessOptions {
-    HarnessOptions {
+#[test]
+fn streamed_export_is_byte_identical_to_recorded_export() {
+    let opts = HarnessOptions {
         scale: 64,
         suite: Some(Suite::Interactive),
-        jobs: Some(jobs),
-        stream: true,
         ..HarnessOptions::default()
-    }
-}
-
-#[test]
-fn streamed_pipeline_is_byte_identical_to_materialized_at_all_job_counts() {
-    let runs = record_all(&opts(1));
-    let materialized = serde_json::to_string(&compare_all(&opts(1), &runs)).unwrap();
+    };
+    let runs = record_all(&opts);
     let summaries =
         serde_json::to_string(&runs.iter().map(|(_, r)| &r.summary).collect::<Vec<_>>()).unwrap();
-    for jobs in [1, 2, 8] {
-        let recs = record_all_streamed(&opts(jobs));
-        let streamed_summaries = serde_json::to_string(
-            &recs.iter().map(|(_, r)| r.summary()).collect::<Vec<_>>(),
-        )
-        .unwrap();
+    let (recorded, recorded_lines) = stream_events_to(Vec::new(), &runs).unwrap();
+    // Depth 1 forces a producer/consumer handoff on every record.
+    for depth in [1, 8] {
+        let recs: Vec<StreamedRun> = opts
+            .profiles()
+            .into_iter()
+            .map(|p| {
+                let rec = StreamedRecording::probe(&p, RecorderOptions::default(), depth).unwrap();
+                (p, rec)
+            })
+            .collect();
+        let probed =
+            serde_json::to_string(&recs.iter().map(|(_, r)| r.summary()).collect::<Vec<_>>())
+                .unwrap();
         assert_eq!(
-            summaries, streamed_summaries,
-            "streamed probe summaries with {jobs} jobs diverged from the materialized record"
+            summaries, probed,
+            "probe summaries at depth {depth} diverged from the recorded summaries"
         );
-        let streamed = serde_json::to_string(&compare_all_streamed(&opts(jobs), &recs)).unwrap();
+        let (streamed, streamed_lines) = stream_events_to(Vec::new(), &recs).unwrap();
         assert_eq!(
-            materialized, streamed,
-            "streamed comparison with {jobs} jobs diverged from the materialized replay"
+            recorded_lines, streamed_lines,
+            "line count at depth {depth}"
+        );
+        assert!(
+            recorded == streamed,
+            "export from probed recordings at depth {depth} differs from the recorded export"
         );
     }
-}
-
-#[test]
-fn streamed_telemetry_artifacts_are_byte_identical_to_materialized() {
-    let dir = std::env::temp_dir().join(format!("gencache-stream-eq-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
-
-    let mut materialized = opts(2);
-    materialized.stream = false;
-    materialized.sample = Some(16);
-    materialized.events_out = Some(path("events-materialized.jsonl"));
-    materialized.metrics_out = Some(path("metrics-materialized.json"));
-    let runs = record_all(&materialized);
-    export_telemetry(&materialized, &runs).unwrap();
-
-    // A shallow channel forces real producer/consumer interleaving.
-    let mut streamed = opts(2);
-    streamed.sample = Some(16);
-    streamed.stream_depth = Some(8);
-    streamed.events_out = Some(path("events-streamed.jsonl"));
-    streamed.metrics_out = Some(path("metrics-streamed.json"));
-    let recs = record_all_streamed(&streamed);
-    export_telemetry_streamed(&streamed, &recs).unwrap();
-
-    let read = |p: &str| std::fs::read(p).unwrap();
-    assert_eq!(
-        read(materialized.events_out.as_ref().unwrap()),
-        read(streamed.events_out.as_ref().unwrap()),
-        "streamed event export differs from the materialized export"
-    );
-    assert_eq!(
-        read(materialized.metrics_out.as_ref().unwrap()),
-        read(streamed.metrics_out.as_ref().unwrap()),
-        "streamed metrics document differs from the materialized document"
-    );
-    std::fs::remove_dir_all(&dir).ok();
 }
