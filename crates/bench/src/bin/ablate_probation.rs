@@ -1,79 +1,3 @@
-//! Probation-cache ablation (Section 5.3): the full three-generation
-//! hierarchy versus a two-generation variant with no probation cache
-//! (every nursery evictee is promoted straight to the persistent cache).
-//!
-//! Expected shape: without the probation filter, short-lived traces flood
-//! the persistent cache and evict long-lived tenants, giving up much of
-//! the generational win.
-
-use gencache_bench::{record_all, HarnessOptions};
-use gencache_core::{
-    overhead_ratio, CacheModel, GenerationalConfig, GenerationalModel, PromotionPolicy,
-    Proportions, UnifiedModel,
-};
-use gencache_sim::replay_into;
-use gencache_sim::report::{arithmetic_mean, fmt_pct, TextTable};
-
 fn main() {
-    let opts = HarnessOptions::from_env();
-    println!("Probation ablation: 45-10-45 promote-on-hit(1) vs 50-0-50 (no probation).");
-    let runs = record_all(&opts);
-    let mut table = TextTable::new([
-        "Benchmark",
-        "with probation",
-        "no probation",
-        "ratio w/",
-        "ratio w/o",
-    ]);
-    let mut with = Vec::new();
-    let mut without = Vec::new();
-    for (p, r) in &runs {
-        eprintln!("replaying {} ...", p.name);
-        let cap = (r.log.peak_trace_bytes / 2).max(1);
-        let mut unified = UnifiedModel::new(cap);
-        replay_into(&r.log, &mut unified);
-        let u = unified.metrics().miss_rate();
-
-        let mut three = GenerationalModel::new(GenerationalConfig::new(
-            cap,
-            Proportions::best_overall(),
-            PromotionPolicy::OnHit { hits: 1 },
-        ));
-        replay_into(&r.log, &mut three);
-        let mut two = GenerationalModel::new(GenerationalConfig::new(
-            cap,
-            Proportions::new(0.5, 0.0, 0.5),
-            PromotionPolicy::OnHit { hits: 1 },
-        ));
-        replay_into(&r.log, &mut two);
-
-        let red = |m: &GenerationalModel| {
-            if u == 0.0 {
-                0.0
-            } else {
-                (u - m.metrics().miss_rate()) / u
-            }
-        };
-        with.push(red(&three));
-        without.push(red(&two));
-        table.row([
-            p.name.clone(),
-            fmt_pct(red(&three)),
-            fmt_pct(red(&two)),
-            format!(
-                "{:.1}%",
-                overhead_ratio(three.ledger(), unified.ledger()) * 100.0
-            ),
-            format!(
-                "{:.1}%",
-                overhead_ratio(two.ledger(), unified.ledger()) * 100.0
-            ),
-        ]);
-    }
-    print!("{}", table.render());
-    println!(
-        "average miss-rate reduction: with probation {}  without {}",
-        fmt_pct(arithmetic_mean(&with).unwrap_or(0.0)),
-        fmt_pct(arithmetic_mean(&without).unwrap_or(0.0)),
-    );
+    gencache_bench::paper::print_artifact("ablate_probation");
 }

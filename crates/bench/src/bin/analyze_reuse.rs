@@ -1,43 +1,3 @@
-//! Reuse-distance analysis of the benchmark logs (extension).
-//!
-//! For each benchmark, computes the byte-weighted stack-distance profile
-//! and prints the analytic LRU miss-rate-versus-capacity curve around
-//! the paper's operating point (0.5 × maxCache). The distribution's
-//! shape explains Figure 9: short distances (nursery hits) and a far
-//! spike (the long-lived working set) with little in between.
-
-use gencache_bench::{record_all, HarnessOptions};
-use gencache_sim::report::{fmt_bytes, TextTable};
-use gencache_sim::reuse_profile;
-
 fn main() {
-    let opts = HarnessOptions::from_env();
-    println!("Byte-weighted reuse-distance profiles and analytic LRU curves.");
-    let runs = record_all(&opts);
-    let mut table = TextTable::new([
-        "Benchmark",
-        "median dist",
-        "p90 dist",
-        "miss @25%",
-        "miss @50%",
-        "miss @100%",
-        "cold floor",
-    ]);
-    for (p, r) in &runs {
-        eprintln!("analyzing {} ...", p.name);
-        let profile = reuse_profile(&r.log);
-        let peak = r.log.peak_trace_bytes.max(1);
-        let cold = profile.cold_accesses() as f64 / profile.total_accesses().max(1) as f64;
-        table.row([
-            p.name.clone(),
-            profile.median_distance().map_or("-".into(), fmt_bytes),
-            profile.percentile(90).map_or("-".into(), fmt_bytes),
-            format!("{:.2}%", profile.miss_rate_at(peak / 4) * 100.0),
-            format!("{:.2}%", profile.miss_rate_at(peak / 2) * 100.0),
-            format!("{:.2}%", profile.miss_rate_at(peak) * 100.0),
-            format!("{:.2}%", cold * 100.0),
-        ]);
-    }
-    print!("{}", table.render());
-    println!("\n(@X% = analytic LRU miss rate with capacity X% of the unbounded peak)");
+    gencache_bench::paper::print_artifact("analyze_reuse");
 }

@@ -1,68 +1,3 @@
-//! Per-benchmark best generational configuration (Section 6.1: "the best
-//! cache configuration varied by benchmark", yet 45-10-45 with
-//! promote-on-first-hit "performs best overall"). Sweeps the proportion ×
-//! policy grid for every benchmark and reports each winner alongside the
-//! standard configuration's result.
-//!
-//! Defaults to `--scale 4` because the full grid is 30 replays per
-//! benchmark.
-
-use gencache_bench::{record_all, HarnessOptions};
-use gencache_sim::report::{fmt_pct, TextTable};
-use gencache_sim::{best_point, sweep_with_jobs};
-
 fn main() {
-    let mut opts = HarnessOptions::from_env();
-    if opts.scale == 1 {
-        opts.scale = 4;
-    }
-    println!(
-        "Best generational configuration per benchmark (scale 1/{}).",
-        opts.scale
-    );
-    let runs = record_all(&opts);
-    let mut table = TextTable::new([
-        "Benchmark",
-        "best layout",
-        "best policy",
-        "best reduction",
-        "45-10-45@hit1",
-    ]);
-    let mut wins_for_standard = 0usize;
-    for (p, r) in &runs {
-        eprintln!("sweeping {} ...", p.name);
-        let points = sweep_with_jobs(&r.log, opts.effective_jobs());
-        let best = best_point(&points).expect("grid is nonempty");
-        let standard = points
-            .iter()
-            .find(|pt| {
-                (pt.nursery - 0.45).abs() < 1e-9
-                    && matches!(
-                        pt.promotion,
-                        gencache_core::PromotionPolicy::OnHit { hits: 1 }
-                    )
-            })
-            .expect("standard config is in the grid");
-        if (best.miss_rate_reduction - standard.miss_rate_reduction).abs() < 1e-9 {
-            wins_for_standard += 1;
-        }
-        table.row([
-            p.name.clone(),
-            format!(
-                "{:.0}-{:.0}-{:.0}",
-                best.nursery * 100.0,
-                best.probation * 100.0,
-                best.persistent * 100.0
-            ),
-            best.promotion.to_string(),
-            fmt_pct(best.miss_rate_reduction),
-            fmt_pct(standard.miss_rate_reduction),
-        ]);
-    }
-    print!("{}", table.render());
-    println!(
-        "\nbenchmarks where the paper's 45-10-45 promote-on-hit(1) is already optimal: {} of {}",
-        wins_for_standard,
-        runs.len()
-    );
+    gencache_bench::paper::print_artifact("best_configs");
 }

@@ -862,7 +862,6 @@ fn main() -> ExitCode {
         }
     }
 
-    let runs = vec![(profile, run)];
-    export_telemetry(&opts.harness, &runs).expect("telemetry export failed");
+    export_telemetry(&opts.harness, &[&(profile, run)]).expect("telemetry export failed");
     ExitCode::SUCCESS
 }

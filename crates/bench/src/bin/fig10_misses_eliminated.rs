@@ -1,30 +1,3 @@
-//! Figure 10: total number of cache misses eliminated by generational
-//! code caches compared to a unified cache (the paper plots this on a
-//! logarithmic axis; we print the raw counts).
-
-use gencache_bench::{comparison_pipeline, HarnessOptions};
-use gencache_sim::report::TextTable;
-
 fn main() {
-    let opts = HarnessOptions::from_env();
-    println!("Figure 10. Cache misses eliminated vs a unified cache (log-scale in the paper).");
-    let mut table = TextTable::new([
-        "Benchmark",
-        "33-33-33 @10",
-        "45-10-45 @hit1",
-        "25-50-25 @5",
-        "log10|best|",
-    ]);
-    for (p, c) in &comparison_pipeline(&opts) {
-        let best = (0..3).map(|i| c.misses_eliminated(i)).max().unwrap_or(0);
-        let log = if best > 0 { (best as f64).log10() } else { 0.0 };
-        table.row([
-            p.name.clone(),
-            c.misses_eliminated(0).to_string(),
-            c.misses_eliminated(1).to_string(),
-            c.misses_eliminated(2).to_string(),
-            format!("{log:.1}"),
-        ]);
-    }
-    print!("{}", table.render());
+    gencache_bench::paper::print_artifact("fig10_misses_eliminated");
 }

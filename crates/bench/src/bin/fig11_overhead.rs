@@ -1,45 +1,3 @@
-//! Figure 11: instruction-overhead ratio of generational caches to a
-//! unified cache (Equation 3), for the best 45%-10%-45% layout. Values
-//! below 100% mean the generational scheme spends fewer instructions on
-//! cache management; smaller is better.
-
-use gencache_bench::{by_suite, comparison_pipeline, HarnessOptions};
-use gencache_sim::report::{bar, geometric_mean, TextTable};
-use gencache_sim::Comparison;
-use gencache_workloads::WorkloadProfile;
-
-fn render(title: &str, rows: &[&(WorkloadProfile, Comparison)]) -> Vec<f64> {
-    println!("\n({title})");
-    let ratios: Vec<f64> = rows.iter().map(|(_, c)| c.overhead_ratio(1)).collect();
-    let max = ratios.iter().copied().fold(0.0f64, f64::max).max(1.0);
-    let mut table = TextTable::new(["Benchmark", "Overhead ratio", ""]);
-    for ((p, _), ratio) in rows.iter().zip(&ratios) {
-        table.row([
-            p.name.clone(),
-            format!("{:.1}%", ratio * 100.0),
-            bar(*ratio, max, 40),
-        ]);
-    }
-    print!("{}", table.render());
-    ratios
-}
-
 fn main() {
-    let opts = HarnessOptions::from_env();
-    println!("Figure 11. Instruction-overhead ratio (generational 45-10-45 / unified).");
-    let comparisons = comparison_pipeline(&opts);
-    let (spec, inter) = by_suite(&comparisons);
-    let mut all = Vec::new();
-    if !spec.is_empty() {
-        all.extend(render("a) SPEC2000 Benchmarks", &spec));
-    }
-    if !inter.is_empty() {
-        all.extend(render("b) Interactive Windows Benchmarks", &inter));
-    }
-    if let Some(geo) = geometric_mean(&all) {
-        println!(
-            "\ngeometric-mean overhead ratio: {:.1}% (paper: 80.7%, i.e. a 19.3% reduction)",
-            geo * 100.0
-        );
-    }
+    gencache_bench::paper::print_artifact("fig11_overhead");
 }

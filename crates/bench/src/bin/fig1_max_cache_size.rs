@@ -1,41 +1,3 @@
-//! Figure 1: maximum code cache size under an unbounded cache.
-
-use gencache_bench::{by_suite, record_all, HarnessOptions};
-use gencache_sim::report::{arithmetic_mean, bar, fmt_bytes, TextTable};
-use gencache_sim::RecordedRun;
-use gencache_workloads::WorkloadProfile;
-
-fn render(title: &str, runs: &[&(WorkloadProfile, RecordedRun)]) {
-    println!("\n({title})");
-    let max = runs
-        .iter()
-        .map(|(_, r)| r.summary.max_cache_bytes as f64)
-        .fold(0.0f64, f64::max);
-    let mut table = TextTable::new(["Benchmark", "Max cache", ""]);
-    for (p, r) in runs {
-        let bytes = r.summary.max_cache_bytes;
-        table.row([p.name.clone(), fmt_bytes(bytes), bar(bytes as f64, max, 40)]);
-    }
-    print!("{}", table.render());
-    let avg = arithmetic_mean(
-        &runs
-            .iter()
-            .map(|(_, r)| r.summary.max_cache_bytes as f64)
-            .collect::<Vec<_>>(),
-    )
-    .unwrap_or(0.0);
-    println!("average: {}", fmt_bytes(avg as u64));
-}
-
 fn main() {
-    let opts = HarnessOptions::from_env();
-    println!("Figure 1. Maximum code cache size reached with an unbounded cache.");
-    let runs = record_all(&opts);
-    let (spec, inter) = by_suite(&runs);
-    if !spec.is_empty() {
-        render("a) SPEC2000 Benchmarks", &spec);
-    }
-    if !inter.is_empty() {
-        render("b) Interactive Windows Benchmarks", &inter);
-    }
+    gencache_bench::paper::print_artifact("fig1_max_cache_size");
 }

@@ -1,38 +1,3 @@
-//! Figure 2: code expansion — final cache size over application footprint
-//! (Equation 1).
-
-use gencache_bench::{by_suite, record_all, HarnessOptions};
-use gencache_sim::report::{arithmetic_mean, bar, TextTable};
-use gencache_sim::RecordedRun;
-use gencache_workloads::WorkloadProfile;
-
-fn render(title: &str, runs: &[&(WorkloadProfile, RecordedRun)]) {
-    println!("\n({title})");
-    let vals: Vec<f64> = runs
-        .iter()
-        .map(|(_, r)| r.summary.code_expansion_pct)
-        .collect();
-    let max = vals.iter().copied().fold(0.0f64, f64::max);
-    let mut table = TextTable::new(["Benchmark", "Expansion", ""]);
-    for ((p, r), v) in runs.iter().zip(&vals) {
-        let _ = r;
-        table.row([p.name.clone(), format!("{v:.0}%"), bar(*v, max, 40)]);
-    }
-    print!("{}", table.render());
-    let mean = arithmetic_mean(&vals).unwrap_or(0.0);
-    let sd = (vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / vals.len() as f64).sqrt();
-    println!("average: {mean:.0}%  std dev: {sd:.0}%");
-}
-
 fn main() {
-    let opts = HarnessOptions::from_env();
-    println!("Figure 2. Code expansion (finalCacheSize / applicationFootprint).");
-    let runs = record_all(&opts);
-    let (spec, inter) = by_suite(&runs);
-    if !spec.is_empty() {
-        render("a) SPEC2000 Benchmarks", &spec);
-    }
-    if !inter.is_empty() {
-        render("b) Interactive Windows Benchmarks", &inter);
-    }
+    gencache_bench::paper::print_artifact("fig2_code_expansion");
 }

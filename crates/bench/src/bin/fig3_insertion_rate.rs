@@ -1,38 +1,3 @@
-//! Figure 3: trace insertion rate into the code cache (KB/s).
-
-use gencache_bench::{by_suite, record_all, HarnessOptions};
-use gencache_sim::report::{bar, TextTable};
-use gencache_sim::RecordedRun;
-use gencache_workloads::WorkloadProfile;
-
-fn render(title: &str, runs: &[&(WorkloadProfile, RecordedRun)]) {
-    println!("\n({title})");
-    let max = runs
-        .iter()
-        .map(|(_, r)| r.summary.insertion_rate_kbps)
-        .fold(0.0f64, f64::max);
-    let mut table = TextTable::new(["Benchmark", "KB/s", ""]);
-    for (p, r) in runs {
-        let v = r.summary.insertion_rate_kbps;
-        table.row([p.name.clone(), format!("{v:.1}"), bar(v, max, 40)]);
-    }
-    print!("{}", table.render());
-    let below5 = runs
-        .iter()
-        .filter(|(_, r)| r.summary.insertion_rate_kbps < 5.0)
-        .count();
-    println!("benchmarks below 5 KB/s: {below5} of {}", runs.len());
-}
-
 fn main() {
-    let opts = HarnessOptions::from_env();
-    println!("Figure 3. Trace insertion rate (KB of traces per second).");
-    let runs = record_all(&opts);
-    let (spec, inter) = by_suite(&runs);
-    if !spec.is_empty() {
-        render("a) SPEC2000 Benchmarks", &spec);
-    }
-    if !inter.is_empty() {
-        render("b) Interactive Windows Benchmarks", &inter);
-    }
+    gencache_bench::paper::print_artifact("fig3_insertion_rate");
 }

@@ -1,41 +1,3 @@
-//! Figure 4: percentage of code traces that must be removed from the code
-//! cache due to unmapped memory.
-
-use gencache_bench::{by_suite, export_telemetry, record_all, HarnessOptions};
-use gencache_sim::report::{arithmetic_mean, bar, TextTable};
-
 fn main() {
-    let opts = HarnessOptions::from_env();
-    println!("Figure 4. Trace bytes deleted due to unmapped memory (%).");
-    let runs = record_all(&opts);
-    export_telemetry(&opts, &runs).expect("telemetry export failed");
-    let (spec, inter) = by_suite(&runs);
-
-    if !spec.is_empty() {
-        let avg = arithmetic_mean(
-            &spec
-                .iter()
-                .map(|(_, r)| r.summary.unmapped_frac * 100.0)
-                .collect::<Vec<_>>(),
-        )
-        .unwrap_or(0.0);
-        println!("\nSPEC2000: average {avg:.1}% (code is never unmapped mid-run)");
-    }
-    if !inter.is_empty() {
-        println!("\n(Interactive Windows Benchmarks)");
-        let vals: Vec<f64> = inter
-            .iter()
-            .map(|(_, r)| r.summary.unmapped_frac * 100.0)
-            .collect();
-        let max = vals.iter().copied().fold(0.0f64, f64::max);
-        let mut table = TextTable::new(["Benchmark", "Unmapped", ""]);
-        for ((p, _), v) in inter.iter().zip(&vals) {
-            table.row([p.name.clone(), format!("{v:.1}%"), bar(*v, max, 40)]);
-        }
-        print!("{}", table.render());
-        println!(
-            "average: {:.1}% (paper: ~15%)",
-            arithmetic_mean(&vals).unwrap_or(0.0)
-        );
-    }
+    gencache_bench::paper::print_artifact("fig4_unmapped");
 }

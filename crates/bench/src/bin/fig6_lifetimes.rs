@@ -1,66 +1,3 @@
-//! Figure 6: lifetimes of traces as a percentage of total execution time
-//! (Equation 2). The y-axis is the unweighted (static) share of traces in
-//! each lifetime bucket; the paper's observation is the U shape.
-
-use gencache_bench::{by_suite, export_telemetry, record_all, HarnessOptions};
-use gencache_sim::report::{bar, TextTable};
-use gencache_sim::RecordedRun;
-use gencache_workloads::WorkloadProfile;
-
-const BUCKETS: [&str; 5] = ["<20%", "20-40%", "40-60%", "60-80%", ">80%"];
-
-fn render(title: &str, runs: &[&(WorkloadProfile, RecordedRun)]) {
-    println!("\n({title})");
-    let mut table = TextTable::new([
-        "Benchmark",
-        BUCKETS[0],
-        BUCKETS[1],
-        BUCKETS[2],
-        BUCKETS[3],
-        BUCKETS[4],
-        "U-shaped",
-    ]);
-    let mut sums = [0.0f64; 5];
-    for (p, r) in runs {
-        let f = r.summary.lifetimes.fractions();
-        for (s, v) in sums.iter_mut().zip(f) {
-            *s += v;
-        }
-        table.row([
-            p.name.clone(),
-            format!("{:.0}%", f[0] * 100.0),
-            format!("{:.0}%", f[1] * 100.0),
-            format!("{:.0}%", f[2] * 100.0),
-            format!("{:.0}%", f[3] * 100.0),
-            format!("{:.0}%", f[4] * 100.0),
-            if r.summary.lifetimes.is_u_shaped() {
-                "yes"
-            } else {
-                "no"
-            }
-            .to_owned(),
-        ]);
-    }
-    print!("{}", table.render());
-    println!("\nsuite average distribution:");
-    let n = runs.len() as f64;
-    let max = sums.iter().copied().fold(0.0f64, f64::max) / n;
-    for (label, s) in BUCKETS.iter().zip(sums) {
-        let v = s / n;
-        println!("  {label:>7} {:>4.0}% {}", v * 100.0, bar(v, max, 40));
-    }
-}
-
 fn main() {
-    let opts = HarnessOptions::from_env();
-    println!("Figure 6. Trace lifetimes as a percentage of execution time.");
-    let runs = record_all(&opts);
-    export_telemetry(&opts, &runs).expect("telemetry export failed");
-    let (spec, inter) = by_suite(&runs);
-    if !spec.is_empty() {
-        render("a) SPEC2000 Benchmarks", &spec);
-    }
-    if !inter.is_empty() {
-        render("b) Interactive Windows Benchmarks", &inter);
-    }
+    gencache_bench::paper::print_artifact("fig6_lifetimes");
 }

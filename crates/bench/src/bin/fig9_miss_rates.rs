@@ -1,53 +1,3 @@
-//! Figure 9: cache miss-rate reduction of generational code caches over a
-//! unified cache. Three layouts are compared, every cache sized so the
-//! generational total equals the unified baseline (0.5 × maxCache).
-
-use gencache_bench::{by_suite, comparison_pipeline, HarnessOptions};
-use gencache_sim::report::{arithmetic_mean, fmt_pct, TextTable};
-use gencache_sim::Comparison;
-use gencache_workloads::WorkloadProfile;
-
-fn render(title: &str, comparisons: &[&(WorkloadProfile, Comparison)]) {
-    println!("\n({title})");
-    let mut table = TextTable::new([
-        "Benchmark",
-        "unified miss",
-        "33-33-33 @10",
-        "45-10-45 @hit1",
-        "25-50-25 @5",
-    ]);
-    let mut columns = [Vec::new(), Vec::new(), Vec::new()];
-    for (p, c) in comparisons {
-        for (col, i) in columns.iter_mut().zip(0..3) {
-            col.push(c.miss_rate_reduction(i));
-        }
-        table.row([
-            p.name.clone(),
-            format!("{:.2}%", c.unified.miss_rate() * 100.0),
-            fmt_pct(c.miss_rate_reduction(0)),
-            fmt_pct(c.miss_rate_reduction(1)),
-            fmt_pct(c.miss_rate_reduction(2)),
-        ]);
-    }
-    print!("{}", table.render());
-    println!(
-        "average (unweighted arithmetic mean): {} / {} / {}",
-        fmt_pct(arithmetic_mean(&columns[0]).unwrap_or(0.0)),
-        fmt_pct(arithmetic_mean(&columns[1]).unwrap_or(0.0)),
-        fmt_pct(arithmetic_mean(&columns[2]).unwrap_or(0.0)),
-    );
-}
-
 fn main() {
-    let opts = HarnessOptions::from_env();
-    println!("Figure 9. Miss-rate reduction of generational caches over a unified cache.");
-    println!("Configurations: nursery-probation-persistent proportions; @N = promotion rule.");
-    let comparisons = comparison_pipeline(&opts);
-    let (spec, inter) = by_suite(&comparisons);
-    if !spec.is_empty() {
-        render("a) SPEC2000 Benchmarks", &spec);
-    }
-    if !inter.is_empty() {
-        render("b) Interactive Windows Benchmarks", &inter);
-    }
+    gencache_bench::paper::print_artifact("fig9_miss_rates");
 }

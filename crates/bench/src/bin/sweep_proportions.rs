@@ -1,64 +1,3 @@
-//! Section 6 configuration sweep: generational cache proportions versus
-//! promotion policy, reproducing the paper's two observations — no
-//! universal win from unbalanced nursery/persistent sizing, and the link
-//! between probation-cache size and promotion threshold.
-
-use std::time::Instant;
-
-use gencache_bench::{export_telemetry, HarnessOptions, Run};
-use gencache_sim::report::{fmt_pct, TextTable};
-use gencache_sim::{best_point, record, sweep_with_jobs};
-use gencache_workloads::benchmark;
-
 fn main() {
-    // The sweep is per-benchmark; pick a representative mid-size one by
-    // default and let `--suite`/`--scale` narrow the cost.
-    let opts = HarnessOptions::from_env();
-    let mut runs: Vec<Run> = Vec::new();
-    let names = ["crafty", "word"];
-    for name in names {
-        let mut profile = benchmark(name).expect("known benchmark");
-        if opts.scale > 1 {
-            profile = profile.scaled_down(opts.scale);
-        }
-        eprintln!("recording {name} ...");
-        let run = record(&profile).expect("calibrated profile");
-        let jobs = opts.effective_jobs();
-        let started = Instant::now();
-        let points = sweep_with_jobs(&run.log, jobs);
-        eprintln!(
-            "swept {} grid points over {name} in {:.3}s ({jobs} jobs)",
-            points.len(),
-            started.elapsed().as_secs_f64()
-        );
-        println!("\nSweep over {name}: miss-rate reduction / overhead ratio vs unified");
-        let mut table =
-            TextTable::new(["proportions", "policy", "miss reduction", "overhead ratio"]);
-        for pt in &points {
-            table.row([
-                format!(
-                    "{:.0}-{:.0}-{:.0}",
-                    pt.nursery * 100.0,
-                    pt.probation * 100.0,
-                    pt.persistent * 100.0
-                ),
-                pt.promotion.to_string(),
-                fmt_pct(pt.miss_rate_reduction),
-                format!("{:.1}%", pt.overhead_ratio * 100.0),
-            ]);
-        }
-        print!("{}", table.render());
-        if let Some(best) = best_point(&points) {
-            println!(
-                "best: {:.0}-{:.0}-{:.0} {} ({} miss reduction)",
-                best.nursery * 100.0,
-                best.probation * 100.0,
-                best.persistent * 100.0,
-                best.promotion,
-                fmt_pct(best.miss_rate_reduction),
-            );
-        }
-        runs.push((profile, run));
-    }
-    export_telemetry(&opts, &runs).expect("telemetry export failed");
+    gencache_bench::paper::print_artifact("sweep_proportions");
 }

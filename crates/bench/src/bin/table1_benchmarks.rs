@@ -1,17 +1,3 @@
-//! Table 1: the interactive Windows benchmarks used in the evaluation.
-
-use gencache_sim::report::TextTable;
-use gencache_workloads::interactive;
-
 fn main() {
-    println!("Table 1. Interactive Windows benchmarks used in our evaluation.\n");
-    let mut table = TextTable::new(["Name", "Seconds", "Description"]);
-    for p in interactive() {
-        table.row([
-            p.name.clone(),
-            format!("{:.0}", p.duration_secs),
-            p.description.clone(),
-        ]);
-    }
-    print!("{}", table.render());
+    gencache_bench::paper::print_artifact("table1_benchmarks");
 }

@@ -1,33 +1,3 @@
-//! Table 2: the instruction-overhead cost model, with the paper's
-//! median-trace worked example.
-
-use gencache_core::cost;
-use gencache_sim::report::TextTable;
-
 fn main() {
-    println!("Table 2. Overheads used in our evaluation.\n");
-    let mut table = TextTable::new(["Description", "Overhead (instructions)"]);
-    table.row(["Trace Generation", "865 * (traceSizeBytes)^(0.8)"]);
-    table.row(["DR Context Switch", "25"]);
-    table.row(["Evictions", "2.75 * traceSizeBytes + 2650"]);
-    table.row(["Promotions", "22 * traceSizeBytes + 8030"]);
-    print!("{}", table.render());
-
-    println!("\nWorked example for the paper's 242-byte median trace:");
-    println!(
-        "  trace generation : {:>10.0} instructions (paper: 69,834)",
-        cost::trace_generation(242)
-    );
-    println!(
-        "  eviction         : {:>10.0} instructions (paper:  3,316)",
-        cost::eviction(242)
-    );
-    println!(
-        "  promotion        : {:>10.0} instructions (paper: 13,354)",
-        cost::promotion(242)
-    );
-    println!(
-        "  full miss service: {:>10.0} instructions (paper: ~85,000)",
-        cost::miss_service(242)
-    );
+    gencache_bench::paper::print_artifact("table2_costs");
 }

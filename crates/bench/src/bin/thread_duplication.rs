@@ -1,53 +1,3 @@
-//! Per-thread trace duplication (extension).
-//!
-//! DynamoRIO's caches are thread-private: when several threads execute
-//! the same hot code, each thread's frontend independently builds its own
-//! copy of the shared traces. This study records representative
-//! benchmarks with 1, 2, and 4 guest threads (shared long-lived regions
-//! rotate across threads; phase-local code stays thread-private) and
-//! reports the cache growth that privacy costs.
-
-use gencache_bench::HarnessOptions;
-use gencache_sim::record;
-use gencache_sim::report::{fmt_bytes, TextTable};
-use gencache_workloads::benchmark;
-
 fn main() {
-    let opts = HarnessOptions::from_env();
-    let scale = if opts.scale > 1 { opts.scale } else { 4 };
-    println!("Per-thread trace duplication (thread-private frontends, 1/{scale} scale).");
-    let mut table = TextTable::new([
-        "Benchmark",
-        "threads",
-        "traces",
-        "trace bytes",
-        "peak trace cache",
-        "growth",
-    ]);
-    for name in ["excel", "pinball", "crafty"] {
-        let base = benchmark(name).expect("built-in").scaled_down(scale);
-        let mut base_bytes = 0u64;
-        for threads in [1u32, 2, 4] {
-            let mut profile = base.clone();
-            profile.threads = threads;
-            eprintln!("recording {name} with {threads} thread(s) ...");
-            let run = record(&profile).expect("calibrated profile");
-            if threads == 1 {
-                base_bytes = run.frontend.trace_bytes_created.max(1);
-            }
-            table.row([
-                name.to_owned(),
-                threads.to_string(),
-                run.summary.traces_created.to_string(),
-                fmt_bytes(run.frontend.trace_bytes_created),
-                fmt_bytes(run.summary.peak_trace_bytes),
-                format!(
-                    "{:.2}x",
-                    run.frontend.trace_bytes_created as f64 / base_bytes as f64
-                ),
-            ]);
-        }
-    }
-    print!("{}", table.render());
-    println!("\n(growth = trace bytes relative to the single-threaded run)");
+    gencache_bench::paper::print_artifact("thread_duplication");
 }

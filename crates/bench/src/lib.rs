@@ -2,40 +2,40 @@
 //!
 //! The benchmark harness regenerating every table and figure of
 //! *Generational Cache Management of Code Traces in Dynamic Optimization
-//! Systems* (Hazelwood & Smith, MICRO 2003). Each `src/bin/` target
-//! reproduces one artifact:
+//! Systems* (Hazelwood & Smith, MICRO 2003), plus the extension studies.
 //!
-//! | Target | Paper artifact |
-//! |---|---|
-//! | `table1_benchmarks` | Table 1 — interactive benchmark roster |
-//! | `table2_costs` | Table 2 — overhead cost model |
-//! | `fig1_max_cache_size` | Figure 1 — unbounded cache sizes |
-//! | `fig2_code_expansion` | Figure 2 — code expansion |
-//! | `fig3_insertion_rate` | Figure 3 — trace insertion rates |
-//! | `fig4_unmapped` | Figure 4 — unmapped-memory deletions |
-//! | `fig6_lifetimes` | Figure 6 — trace lifetime histograms |
-//! | `fig9_miss_rates` | Figure 9 — generational miss-rate reduction |
-//! | `fig10_misses_eliminated` | Figure 10 — absolute misses eliminated |
-//! | `fig11_overhead` | Figure 11 — instruction-overhead ratio |
-//! | `sweep_proportions` | §6 proportions × threshold sweep |
-//! | `ablate_local_policy` | §4 local-policy ablation (extension) |
-//! | `ablate_probation` | §5.3 probation-cache ablation (extension) |
-//! | `ablate_exceptions` | §4.2 undeletable-trace ablation (extension) |
-//! | `explain` | one benchmark's event stream as a narrative (extension) |
-//! | `delta` | phase-by-phase diff of two exported event streams (extension) |
-//! | `simulate` | offline what-if replay of an exported stream (extension) |
+//! Every artifact is a render function in [`paper`] over shared
+//! recordings. The `paper` binary records each distinct recording once
+//! and writes all 21 artifacts into a directory (`--out DIR`, default
+//! `results`); `scripts/run_experiments.sh` is one `paper` call. Each
+//! artifact also has a binary of its own name that prints it alone to
+//! stdout from private recordings, with the same bytes:
 //!
-//! All binaries accept `--scale N` to divide every benchmark's footprint
-//! by `N` (for quick smoke runs), `--suite spec|interactive` to limit
-//! the benchmark set, and `--jobs N` to set the worker-thread count
-//! (default: the `GENCACHE_JOBS` environment variable, then the
+//! - paper figures and tables: `table1_benchmarks`, `table2_costs`,
+//!   `fig1_max_cache_size`, `fig2_code_expansion`, `fig3_insertion_rate`,
+//!   `fig4_unmapped`, `fig6_lifetimes`, `fig9_miss_rates`,
+//!   `fig10_misses_eliminated`, `fig11_overhead`, `sweep_proportions`;
+//! - extension studies: `sweep_trace_threshold`, `ablate_local_policy`,
+//!   `ablate_probation`, `ablate_defrag`, `ablate_exceptions`,
+//!   `ablate_linking`, `threaded_caches`, `best_configs`,
+//!   `analyze_reuse`, `thread_duplication`.
+//!
+//! `explain` (one benchmark's event stream as a narrative), `delta`
+//! (phase-by-phase diff of two exported streams) and `simulate` (offline
+//! what-if replay of an exported stream) work on exports instead.
+//!
+//! All artifact binaries accept `--scale N` to divide every benchmark's
+//! footprint by `N` (for quick smoke runs), `--suite spec|interactive`
+//! to limit the benchmark set, and `--jobs N` to set the worker-thread
+//! count (default: the `GENCACHE_JOBS` environment variable, then the
 //! machine's available parallelism). Record and replay fan out across
-//! benchmarks; output is deterministic and identical for every job
-//! count. Observability flags: `--events-out` / `--metrics-out` /
-//! `--sample N` / `--sample-seed S` / `--progress`.
+//! benchmarks and replay cells; output is deterministic and identical
+//! for every job count. Observability flags: `--events-out` /
+//! `--metrics-out` / `--sample N` / `--sample-seed S`.
 
 #![warn(missing_docs)]
 
+use std::borrow::Borrow;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::time::Instant;
@@ -46,14 +46,15 @@ use gencache_obs::{
     StreamHeader, WindowReport, METRICS_SCHEMA, METRICS_VERSION,
 };
 use serde::{Serialize, Value};
-use gencache_sim::par::{par_map, par_map_timed};
+use gencache_sim::par::par_map;
 use gencache_sim::{
-    collect_costs, collect_metrics, collect_sampled, compare_figure9_metered, record, Comparison,
-    ModelSpec, ProgressMeter, RecordedRun, Recording, StreamedRecording,
+    collect_costs, collect_metrics, collect_sampled, compare_figure9, record_with, Comparison,
+    ModelSpec, RecordedRun, RecorderOptions, Recording, StreamedRecording,
 };
 use gencache_workloads::{all_benchmarks, Suite, WorkloadProfile};
 
 pub mod ingest;
+pub mod paper;
 
 /// Command-line options shared by every figure binary.
 ///
@@ -77,8 +78,6 @@ pub struct HarnessOptions {
     /// Write aggregated per-benchmark and suite-merged metrics here as
     /// one JSON document.
     pub metrics_out: Option<String>,
-    /// Print a rate-limited records-replayed/total heartbeat to stderr.
-    pub progress: bool,
     /// Record 1-in-N distribution values through a bounded-memory
     /// [`SamplingObserver`](gencache_obs::SamplingObserver) and add a
     /// `sampled` section to `--metrics-out` (counters stay exact).
@@ -89,8 +88,8 @@ pub struct HarnessOptions {
 
 impl HarnessOptions {
     /// Parses `--scale N`, `--suite spec|interactive`, `--jobs N`,
-    /// `--events-out FILE`, `--metrics-out FILE`, `--progress`,
-    /// `--sample N` and `--sample-seed S` from `args`.
+    /// `--events-out FILE`, `--metrics-out FILE`, `--sample N` and
+    /// `--sample-seed S` from `args`.
     ///
     /// # Panics
     ///
@@ -129,9 +128,6 @@ impl HarnessOptions {
                 "--metrics-out" => {
                     opts.metrics_out = Some(it.next().expect("--metrics-out needs a file path"));
                 }
-                "--progress" => {
-                    opts.progress = true;
-                }
                 "--sample" => {
                     let v = it.next().expect("--sample needs a value");
                     let n: u64 = v.parse().expect("--sample must be a positive integer");
@@ -144,17 +140,11 @@ impl HarnessOptions {
                 }
                 other => panic!(
                     "unknown argument {other:?}; use --scale N / --suite S / --jobs N / \
-                     --events-out FILE / --metrics-out FILE / --progress / --sample N / \
-                     --sample-seed S"
+                     --events-out FILE / --metrics-out FILE / --sample N / --sample-seed S"
                 ),
             }
         }
         opts
-    }
-
-    /// Parses the current process arguments (skipping `argv[0]`).
-    pub fn from_env() -> Self {
-        HarnessOptions::parse(std::env::args().skip(1))
     }
 
     /// The resolved worker-thread count: `--jobs`, else `GENCACHE_JOBS`,
@@ -193,61 +183,51 @@ impl HarnessOptions {
     }
 }
 
-/// Records every selected benchmark, fanning benchmarks across the
-/// harness's worker threads and printing per-shard wall-clock timings to
-/// stderr. Output order matches [`HarnessOptions::profiles`] regardless
-/// of the job count.
+/// Records every selected benchmark with default recorder options,
+/// fanning benchmarks across the harness's worker threads. Output order
+/// matches [`HarnessOptions::profiles`] regardless of the job count.
 pub fn record_all(opts: &HarnessOptions) -> Vec<Run> {
-    let profiles = opts.profiles();
-    let jobs = opts.effective_jobs();
-    eprintln!("recording {} benchmarks ({jobs} jobs) ...", profiles.len());
+    let wants: Vec<_> = opts
+        .profiles()
+        .into_iter()
+        .map(|p| (p, RecorderOptions::default()))
+        .collect();
+    record_profiles(&wants, opts.effective_jobs())
+}
+
+/// Records each `(profile, options)` pair, fanning them across `jobs`
+/// worker threads and printing the batch's wall-clock time to stderr.
+/// Output order matches `wants` regardless of the job count.
+pub(crate) fn record_profiles(wants: &[(WorkloadProfile, RecorderOptions)], jobs: usize) -> Vec<Run> {
     let started = Instant::now();
-    let results = par_map_timed(&profiles, jobs, |p| {
-        record(p).expect("calibrated profiles always plan")
+    let runs = par_map(wants, jobs, |(p, options)| {
+        let run = record_with(p, *options).expect("calibrated profiles always plan");
+        (p.clone(), run)
     });
-    let mut out = Vec::with_capacity(profiles.len());
-    for (profile, (run, shard)) in profiles.into_iter().zip(results) {
-        eprintln!("  recorded {:<10} in {:7.3}s", profile.name, shard.as_secs_f64());
-        out.push((profile, run));
-    }
     eprintln!(
-        "recorded {} benchmarks in {:.3}s wall-clock",
-        out.len(),
+        "recorded {} runs in {:.3}s ({jobs} jobs)",
+        runs.len(),
         started.elapsed().as_secs_f64()
     );
-    out
+    runs
 }
 
 /// Replays every recorded run through the Figure 9 three-configuration
 /// comparison, fanning benchmarks across the harness's worker threads
-/// and printing per-shard wall-clock timings to stderr. Output order
-/// matches `runs` and is bit-identical for every job count.
-pub fn compare_all(opts: &HarnessOptions, runs: &[Run]) -> Vec<(WorkloadProfile, Comparison)> {
+/// and printing the wall-clock time to stderr. Output order matches
+/// `runs` and is bit-identical for every job count.
+pub fn compare_all<R: Borrow<Run> + Sync>(
+    opts: &HarnessOptions,
+    runs: &[R],
+) -> Vec<(WorkloadProfile, Comparison)> {
     let jobs = opts.effective_jobs();
-    eprintln!("replaying {} benchmarks ({jobs} jobs) ...", runs.len());
     let started = Instant::now();
-    // Each Figure 9 comparison replays the log into four models:
-    // unified plus the three generational configurations.
-    let total_records: u64 = runs.iter().map(|(_, r)| r.log.records.len() as u64 * 4).sum();
-    let meter = if opts.progress {
-        ProgressMeter::new("replay", total_records)
-    } else {
-        ProgressMeter::disabled("replay", total_records)
-    };
-    let results = par_map_timed(runs, jobs, |(_, r)| compare_figure9_metered(&r.log, &meter));
-    if opts.progress {
-        meter.finish();
-    }
-    let out: Vec<(WorkloadProfile, Comparison)> = runs
-        .iter()
-        .zip(results)
-        .map(|((p, _), (c, shard))| {
-            eprintln!("  replayed {:<10} in {:7.3}s", p.name, shard.as_secs_f64());
-            (p.clone(), c)
-        })
-        .collect();
+    let out = par_map(runs, jobs, |run| {
+        let (profile, run) = run.borrow();
+        (profile.clone(), compare_figure9(&run.log))
+    });
     eprintln!(
-        "replayed {} benchmarks in {:.3}s wall-clock",
+        "replayed {} runs in {:.3}s ({jobs} jobs)",
         out.len(),
         started.elapsed().as_secs_f64()
     );
@@ -261,16 +241,6 @@ pub type Run = (WorkloadProfile, RecordedRun);
 /// counterpart of [`Run`] that holds run facts instead of a log. The serve
 /// daemon's `fetch` exports these.
 pub type StreamedRun = (WorkloadProfile, StreamedRecording);
-
-/// The full record → export → compare pipeline behind every figure
-/// binary: each benchmark's [`AccessLog`](gencache_sim::AccessLog) is
-/// recorded once and replayed in place for the telemetry export and the
-/// Figure 9 comparison.
-pub fn comparison_pipeline(opts: &HarnessOptions) -> Vec<(WorkloadProfile, Comparison)> {
-    let runs = record_all(opts);
-    export_telemetry(opts, &runs).expect("telemetry export failed");
-    compare_all(opts, &runs)
-}
 
 /// The organizations exported by `--events-out` / `--metrics-out`: the
 /// unified baseline and the paper's best-overall generational layout
@@ -293,9 +263,11 @@ pub fn sample_interval(log: &gencache_sim::AccessLog) -> u64 {
 /// Honors `--events-out` and `--metrics-out`: replays every recorded
 /// run through the [`export_specs`] models with instrumentation attached
 /// and writes the requested artifacts. A no-op when neither flag is set.
-pub fn export_telemetry(opts: &HarnessOptions, runs: &[Run]) -> io::Result<()> {
+pub fn export_telemetry(opts: &HarnessOptions, runs: &[&Run]) -> io::Result<()> {
     if let Some(path) = &opts.events_out {
-        let (mut writer, lines) = stream_events_to(BufWriter::new(File::create(path)?), runs)?;
+        let runs: Vec<(WorkloadProfile, &RecordedRun)> =
+            runs.iter().map(|(p, r)| (p.clone(), r)).collect();
+        let (mut writer, lines) = stream_events_to(BufWriter::new(File::create(path)?), &runs)?;
         writer.flush()?;
         eprintln!("wrote {lines} events to {path}");
     }
@@ -550,13 +522,13 @@ pub fn write_metrics_doc(path: &str, doc: Value) -> io::Result<()> {
     file.write_all(b"\n")
 }
 
-fn write_metrics(path: &str, runs: &[Run], opts: &HarnessOptions) -> io::Result<()> {
+fn write_metrics(path: &str, runs: &[&Run], opts: &HarnessOptions) -> io::Result<()> {
     let jobs = opts.effective_jobs();
     let sampling = opts.sampling_params();
     // Per-benchmark reports fan out across workers; document assembly
     // folds them in input-index order, so the output is bit-identical
     // for every jobs value.
-    let per_bench: Vec<Vec<SpecReports>> = par_map(runs, jobs, |(profile, run)| {
+    let per_bench: Vec<Vec<SpecReports>> = par_map(runs, jobs, |&(profile, run)| {
         export_specs()
             .iter()
             .map(|&(_, spec)| {
@@ -578,23 +550,6 @@ fn write_metrics(path: &str, runs: &[Run], opts: &HarnessOptions) -> io::Result<
         .map(|((profile, _), reports)| (profile.name.clone(), reports))
         .collect();
     write_metrics_doc(path, metrics_doc(&labels, &benchmarks))
-}
-
-/// One suite's borrowed slice of profile-keyed rows.
-pub type SuiteRows<'a, T> = Vec<&'a (WorkloadProfile, T)>;
-
-/// Splits profile-keyed rows (recorded runs or comparisons) by suite,
-/// preserving order: `(spec, interactive)`.
-pub fn by_suite<T>(runs: &[(WorkloadProfile, T)]) -> (SuiteRows<'_, T>, SuiteRows<'_, T>) {
-    let spec = runs
-        .iter()
-        .filter(|(p, _)| p.suite == Suite::Spec2000)
-        .collect();
-    let inter = runs
-        .iter()
-        .filter(|(p, _)| p.suite == Suite::Interactive)
-        .collect();
-    (spec, inter)
 }
 
 #[cfg(test)]
@@ -659,6 +614,12 @@ mod tests {
     #[should_panic(expected = "unknown argument \"--stream\"")]
     fn parse_rejects_retired_stream_flag() {
         let _ = HarnessOptions::parse(args(&["--stream"]));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown argument \"--progress\"")]
+    fn parse_rejects_retired_progress_flag() {
+        let _ = HarnessOptions::parse(args(&["--progress"]));
     }
 
     #[test]

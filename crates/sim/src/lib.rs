@@ -45,7 +45,6 @@ mod analysis;
 mod linking;
 mod log;
 pub mod par;
-mod progress;
 mod recorder;
 mod replay;
 pub mod report;
@@ -59,13 +58,11 @@ mod threads;
 pub use analysis::{occupancy_series, reuse_profile, ReuseProfile};
 pub use linking::{replay_with_linking, LinkReport, LinkableModel};
 pub use log::{AccessLog, LogRecord};
-pub use progress::{ProgressMeter, PROGRESS_BATCH};
 pub use recorder::{
     record, record_stream_with, record_with, RecordFacts, RecordedRun, RecorderOptions, RunSummary,
 };
 pub use replay::{
-    compare, compare_figure9, compare_figure9_metered, compare_metered, replay_into,
-    replay_into_metered, Comparison, ReplayCursor, ReplayResult, ReplayStep,
+    compare, compare_figure9, replay_into, Comparison, ReplayCursor, ReplayResult, ReplayStep,
 };
 pub use simulate::{
     parse_spec, replay_sim_observed, simulate_costs, simulate_metrics, simulate_regret,

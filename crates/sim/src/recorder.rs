@@ -53,7 +53,7 @@ pub struct RecordedRun {
 }
 
 /// Options controlling a recording.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecorderOptions {
     /// Probability per trace access that an exception fires inside the
     /// trace, pinning it (undeletable) for `pin_window` records.

@@ -12,7 +12,6 @@ use gencache_core::{
 use serde::{Deserialize, Serialize};
 
 use crate::log::{AccessLog, LogRecord};
-use crate::progress::{ProgressMeter, PROGRESS_BATCH};
 
 /// Per-stream replay state: the trace catalog (sizes and head addresses
 /// resolved from creation records) and the standing clock for untimed
@@ -109,27 +108,6 @@ pub fn replay_into(log: &AccessLog, model: &mut dyn CacheModel) {
     }
 }
 
-/// [`replay_into`] with a shared [`ProgressMeter`] heartbeat.
-///
-/// Progress is flushed into the meter every [`PROGRESS_BATCH`] records
-/// (and once at the end), so the shared-atomic traffic stays negligible
-/// even with many workers replaying concurrently.
-pub fn replay_into_metered(log: &AccessLog, model: &mut dyn CacheModel, meter: &ProgressMeter) {
-    let mut cursor = ReplayCursor::new();
-    let mut pending = 0u64;
-    for record in &log.records {
-        cursor.step(record).drive(model);
-        pending += 1;
-        if pending == PROGRESS_BATCH {
-            meter.add(pending);
-            pending = 0;
-        }
-    }
-    if pending > 0 {
-        meter.add(pending);
-    }
-}
-
 /// The result of replaying one log into one model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ReplayResult {
@@ -193,22 +171,10 @@ impl Comparison {
 /// Capacity follows the paper: half the cache size the benchmark needed
 /// to avoid management entirely.
 pub fn compare(log: &AccessLog, configs: &[GenerationalConfig]) -> Comparison {
-    let meter = ProgressMeter::disabled("replay", 0);
-    compare_metered(log, configs, &meter)
-}
-
-/// [`compare`] with a shared [`ProgressMeter`]: each of the
-/// `1 + configs.len()` model replays reports per-record progress, so a
-/// suite driver can show a live heartbeat across its whole fan-out.
-pub fn compare_metered(
-    log: &AccessLog,
-    configs: &[GenerationalConfig],
-    meter: &ProgressMeter,
-) -> Comparison {
     let capacity = (log.peak_trace_bytes / 2).max(1);
 
     let mut unified = UnifiedModel::new(capacity);
-    replay_into_metered(log, &mut unified, meter);
+    replay_into(log, &mut unified);
     let unified_result = ReplayResult {
         model: unified.name(),
         metrics: *unified.metrics(),
@@ -223,7 +189,7 @@ pub fn compare_metered(
             "configs must share the budget"
         );
         let mut model = GenerationalModel::new(*config);
-        replay_into_metered(log, &mut model, meter);
+        replay_into(log, &mut model);
         generational.push(ReplayResult {
             model: model.name(),
             metrics: *model.metrics(),
@@ -242,14 +208,8 @@ pub fn compare_metered(
 /// Convenience: the three Figure 9 configurations over the log's standard
 /// capacity.
 pub fn compare_figure9(log: &AccessLog) -> Comparison {
-    let meter = ProgressMeter::disabled("replay", 0);
-    compare_figure9_metered(log, &meter)
-}
-
-/// [`compare_figure9`] with a shared [`ProgressMeter`] heartbeat.
-pub fn compare_figure9_metered(log: &AccessLog, meter: &ProgressMeter) -> Comparison {
     let capacity = (log.peak_trace_bytes / 2).max(1);
-    compare_metered(log, &GenerationalConfig::figure9_configs(capacity), meter)
+    compare(log, &GenerationalConfig::figure9_configs(capacity))
 }
 
 #[cfg(test)]

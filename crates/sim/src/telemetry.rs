@@ -103,6 +103,20 @@ impl Recording for RecordedRun {
     }
 }
 
+impl<R: Recording> Recording for &R {
+    fn duration(&self) -> Time {
+        (**self).duration()
+    }
+
+    fn peak_trace_bytes(&self) -> u64 {
+        (**self).peak_trace_bytes()
+    }
+
+    fn replay_observed<O: Observer>(&self, spec: ModelSpec, observer: O) -> (ReplayResult, O) {
+        (**self).replay_observed(spec, observer)
+    }
+}
+
 /// Replays `log` and captures the complete event stream.
 pub fn collect_events(log: &AccessLog, spec: ModelSpec) -> (ReplayResult, Vec<CacheEvent>) {
     let (result, buffer) = replay_observed(log, spec, EventBuffer::new());

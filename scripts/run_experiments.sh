@@ -1,23 +1,23 @@
 #!/usr/bin/env bash
-# Regenerates every paper artifact into results/, at full scale.
-# Usage: scripts/run_experiments.sh [extra args, e.g. --scale 8 --jobs 4]
+# Regenerates every paper artifact into results/, at full scale, with one
+# `paper` process that records each distinct recording once.
+# Usage: scripts/run_experiments.sh [--check] [extra args, e.g. --jobs 4]
+# --check writes into a temporary directory instead and cmp's every
+# artifact with results/ (a full-scale run, so pass no --scale).
 # Workers default to all cores (override with --jobs N or GENCACHE_JOBS);
 # output is bit-identical for any job count.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-mkdir -p results
-BINS=(
-  table1_benchmarks table2_costs
-  fig1_max_cache_size fig2_code_expansion fig3_insertion_rate
-  fig4_unmapped fig6_lifetimes fig9_miss_rates fig10_misses_eliminated
-  fig11_overhead sweep_proportions sweep_trace_threshold
-  ablate_local_policy ablate_probation ablate_defrag ablate_exceptions
-  ablate_linking threaded_caches best_configs analyze_reuse
-  thread_duplication
-)
-for bin in "${BINS[@]}"; do
-  echo "=== $bin"
-  cargo run --release -q -p gencache-bench --bin "$bin" -- "$@" \
-    > "results/$bin.txt" 2>/dev/null
+if [ "${1:-}" != "--check" ]; then
+  cargo run --release -q -p gencache-bench --bin paper -- --out results "$@"
+  exit 0
+fi
+shift
+out="$(mktemp -d)"
+trap 'rm -rf "$out"' EXIT
+cargo run --release -q -p gencache-bench --bin paper -- --out "$out" "$@"
+for artifact in "$out"/*.txt; do
+  cmp "results/${artifact##*/}" "$artifact" \
+    || { echo "results/${artifact##*/} differs from a fresh run"; exit 1; }
 done
-echo "all artifacts written to results/"
+echo "all artifacts match results/"

@@ -1,8 +1,10 @@
 //! Suite-level parallel determinism: `record_all` must produce identical
 //! logs and `compare_all` byte-identical results (via serde_json) for any
-//! `--jobs` value. The suite driver fans whole benchmarks across workers,
-//! so this guards the reassembly-in-input-order contract end to end.
+//! `--jobs` value, and every paper artifact must render the same text.
+//! The drivers fan benchmarks and replay cells across workers, so this
+//! guards the reassembly-in-input-order contract end to end.
 
+use gencache_bench::paper::{render_one, Paper, ARTIFACTS};
 use gencache_bench::{compare_all, record_all, HarnessOptions};
 use gencache_obs::SamplingParams;
 use gencache_sim::{suite_costs, suite_metrics, suite_sampled, AccessLog, ModelSpec};
@@ -87,4 +89,40 @@ fn suite_metrics_are_byte_identical_across_job_counts() {
             );
         }
     }
+}
+
+/// Every artifact rendered from one shared session, as the `paper`
+/// driver does.
+fn render_all(opts: &HarnessOptions) -> Vec<String> {
+    let mut texts = Vec::new();
+    Paper::new(opts.clone()).render_all(|_, text| texts.push(text));
+    texts
+}
+
+#[test]
+fn every_artifact_is_byte_identical_across_job_counts() {
+    let opts = |jobs| HarnessOptions {
+        scale: 64,
+        jobs: Some(jobs),
+        ..HarnessOptions::default()
+    };
+    let serial = render_all(&opts(1));
+    for jobs in [2, 8] {
+        for ((artifact, expected), text) in
+            ARTIFACTS.iter().zip(&serial).zip(render_all(&opts(jobs)))
+        {
+            assert_eq!(
+                *expected, text,
+                "{} with {jobs} jobs diverged from serial",
+                artifact.name
+            );
+        }
+    }
+    // The shim renders from a private recording, the driver from the
+    // session every artifact shares: the bytes must not depend on which.
+    let fig9 = ARTIFACTS
+        .iter()
+        .position(|a| a.name == "fig9_miss_rates")
+        .expect("fig9 is an artifact");
+    assert_eq!(render_one("fig9_miss_rates", &opts(2)), serial[fig9]);
 }
